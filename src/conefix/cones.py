@@ -34,6 +34,16 @@ MAX_CONE_DIM = 16
 NORMAL_CONSTANT_AUDIT_RTOL = 1e-9
 
 
+def euclidean_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, bit-identical to per-vector ``np.linalg.norm``.
+
+    A stack of 1 x n by n x 1 products goes through the same dot routine
+    as ``np.linalg.norm`` of one vector, where a reduction such as
+    ``sqrt(sum(v * v))`` rounds differently in the last bit.
+    """
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
 @dataclass(frozen=True)
 class NormedSpace:
     """Ambient coordinate space R^dim with a selectable norm.
@@ -76,14 +86,22 @@ class NormedSpace:
         return arr
 
     def norm(self, v) -> float:
-        arr = self.as_vector(v)
+        return float(self.norms(self.as_vector(v)))
+
+    def norms(self, v) -> np.ndarray:
+        """Norms of a stack of vectors, taken along the last axis.
+
+        Each equals :meth:`norm` of that vector bit for bit, but the stack
+        is not validated: callers check shapes and finiteness themselves.
+        """
+        a = np.abs(np.asarray(v, dtype=float))
         if self.kind == "one":
-            return float(np.sum(np.abs(arr)))
+            return a.sum(axis=-1)
         if self.kind == "two":
-            return float(np.linalg.norm(arr))
+            return euclidean_norms(a)
         if self.kind == "infinity":
-            return float(np.max(np.abs(arr))) if self.dim else 0.0
-        return float(np.max(np.asarray(self.weights) * np.abs(arr)))
+            return a.max(axis=-1)
+        return (np.asarray(self.weights) * a).max(axis=-1)
 
 
 @dataclass(eq=False)
@@ -140,10 +158,20 @@ def orthant(space: NormedSpace, normal_constant: float = 1.0) -> PolyhedralCone:
 
 def cone_contains(cone: PolyhedralCone, v, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """Membership test: every facet inner product is >= -tol."""
-    arr = cone.space.as_vector(v)
+    return bool(cone_members(cone, cone.space.as_vector(v), tol))
+
+
+def cone_members(
+    cone: PolyhedralCone, vectors, tol: float = DEFAULT_MEMBERSHIP_TOL
+) -> np.ndarray:
+    """:func:`cone_contains` for each vector along the last axis of a stack."""
     if tol < 0:
         raise ContractViolationError("membership tolerance must be nonnegative")
-    return bool(np.all(cone.facets @ arr >= -tol))
+    arr = np.asarray(vectors, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ContractViolationError("vector has non-finite entries")
+    # one facets-by-column product per vector rounds like ``facets @ v``
+    return np.all((cone.facets @ arr[..., None])[..., 0] >= -tol, axis=-1)
 
 
 def leq(cone: PolyhedralCone, x, y, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
@@ -273,34 +301,22 @@ def normal_constant_lower_bound(
     sp = cone.space if space is None else space
     rng = np.random.default_rng(seed)
     gens = cone.generators
-    n_gen = gens.shape[0]
-
-    best = 0.0
+    n_gen, p = gens.shape
+    # Fixed pairs: (sum, sum), (g, g), and x = g_i, y = g_i + t * g_j, which
+    # probe obtuse generator pairs, where ratios above 1 live.
+    steps = np.array([0.25, 0.5, 0.8, 1.0, 1.5, 2.0])
+    lifted = gens[:, None, None, :] + steps[None, None, :, None] * gens[None, :, None, :]
     base = gens.sum(axis=0)
-    fixed_pairs = [(base, base)]
-    for g in gens:
-        fixed_pairs.append((g, g))
-        # Pairs x = g_i, y = g_i + t * g_j probe obtuse generator pairs,
-        # where ratios above 1 live.
-        for h in gens:
-            for t in (0.25, 0.5, 0.8, 1.0, 1.5, 2.0):
-                fixed_pairs.append((g, g + t * h))
-    samples = []
-    for _ in range(n_samples):
-        mask_x = rng.uniform(0.0, 1.0, n_gen) < 0.7
-        cx = rng.uniform(0.0, 2.0, n_gen) * mask_x
-        cq = rng.uniform(0.0, 2.0, n_gen) * (rng.uniform(0.0, 1.0, n_gen) < 0.7)
-        x = cx @ gens
-        q = cq @ gens
-        samples.append((x, x + q))
-    for x, y in fixed_pairs + samples:
-        ny = sp.norm(y)
-        if ny <= 0.0:
-            continue
-        ratio = sp.norm(x) / ny
-        if ratio > best:
-            best = ratio
-    return best
+    # One draw per sample and row: x-mask, x-coefficients, q-coefficients,
+    # q-mask (the per-sample stream order, drawn at once).
+    u = rng.uniform(0.0, 1.0, (n_samples, 4, n_gen))
+    xs = (2.0 * u[:, 1] * (u[:, 0] < 0.7)) @ gens
+    qs = (2.0 * u[:, 2] * (u[:, 3] < 0.7)) @ gens
+    x = np.concatenate([base[None], gens, np.repeat(gens, n_gen * steps.size, axis=0), xs])
+    y = np.concatenate([base[None], gens, lifted.reshape(-1, p), xs + qs])
+    ny = sp.norms(y)
+    keep = ny > 0.0
+    return float(np.max(sp.norms(x[keep]) / ny[keep], initial=0.0))
 
 
 def check_declared_normal_constant(

@@ -1,7 +1,7 @@
 """Cone metric spaces, mappings, coefficient families, and hypothesis checking.
 
-The checker verifies, pair by pair, the full set of certifying conditions
-for the operator-coefficient contraction:
+The checker verifies, at every checked pair, the full set of certifying
+conditions for the operator-coefficient contraction:
 
 * ``i1``  — the coefficient norm sum ``|A1| + |A2| + |A3| + 2 |A4|`` stays
   below ``1/k`` (k the cone's normal constant),
@@ -13,8 +13,9 @@ for the operator-coefficient contraction:
 * ``i5``  — the resolvent ``(I - A3 - A4)^{-1}`` maps the cone into itself,
 * the contraction inequality itself, via its residual vector.
 
-On finite point sets the sweep is exhaustive ("verified"); on euclidean
-domains it is sampled ("not falsified"), and the report records which.
+On finite point sets the sweep is exhaustive ("verified") and runs over the
+distance tensor of the space at once; on euclidean domains it is sampled
+("not falsified"), and the report records which.
 """
 
 from __future__ import annotations
@@ -24,18 +25,22 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import DEFAULT_MEMBERSHIP_TOL, NormedSpace, PolyhedralCone, cone_contains
-from .errors import ConefixError, ContractViolationError
-from .linops import (
-    LinearOperator,
-    first_escaping_generator,
-    invariance_check,
-    operator_norm,
-    resolvent,
-    s_operator,
+from .cones import (
+    DEFAULT_MEMBERSHIP_TOL,
+    NormedSpace,
+    PolyhedralCone,
+    cone_contains,
+    cone_members,
+    euclidean_norms,
 )
+from .errors import ConefixError, ContractViolationError
+from .linops import LinearOperator, invariance_check, operator_norm, resolvent
 
 CONDITIONS = ("i1", "i2", "i3", "hb", "i4", "i5", "contraction")
+
+#: Elements per temporary array in chunked sweeps; chunks hold whole rows,
+#: so a chunk is never smaller than one row of the distance tensor.
+CHUNK_ELEMENTS = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -48,11 +53,15 @@ class FinitePoints:
     """Finite point set given by labels, optionally with coordinates.
 
     ``positions`` maps each label to a point of R^m; it is required by
-    lifted metrics with a euclidean base and ignored otherwise.
+    lifted metrics with a euclidean base and ignored otherwise.  ``order``
+    holds the labels sorted (the canonical order of every sweep) and
+    ``index`` maps a label to its place in ``order``.
     """
 
     labels: tuple[str, ...]
     positions: dict[str, np.ndarray] | None = None
+    order: tuple[str, ...] = field(init=False, repr=False)
+    index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.labels = tuple(str(l) for l in self.labels)
@@ -60,6 +69,8 @@ class FinitePoints:
             raise ContractViolationError("point labels must be unique")
         if not self.labels:
             raise ContractViolationError("finite point set must be nonempty")
+        self.order = tuple(sorted(self.labels))
+        self.index = {label: i for i, label in enumerate(self.order)}
         if self.positions is not None:
             self.positions = {
                 str(k): np.atleast_1d(np.asarray(v, dtype=float)) for k, v in self.positions.items()
@@ -67,6 +78,9 @@ class FinitePoints:
             missing = set(self.labels) - set(self.positions)
             if missing:
                 raise ContractViolationError(f"positions missing for labels {sorted(missing)}")
+            shapes = {v.shape for v in self.positions.values()}
+            if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+                raise ContractViolationError("positions must be vectors of one common dimension")
 
 
 @dataclass(frozen=True)
@@ -150,7 +164,7 @@ class ConeMetricSpace:
                     raise ContractViolationError(
                         f"table entry for ({a}, {b}) must live in the ambient space"
                     )
-                if a not in points.labels or b not in points.labels:
+                if a not in points.index or b not in points.index:
                     raise ContractViolationError(f"table entry ({a}, {b}) names unknown points")
         else:
             raise ContractViolationError("metric must be a LiftedMetric or a TableMetric")
@@ -167,7 +181,7 @@ class ConeMetricSpace:
 
     def check_point(self, x):
         if self.is_finite:
-            if x not in self.points.labels:
+            if not (isinstance(x, str) and x in self.points.index):
                 raise ContractViolationError(f"unknown point label {x!r}")
             return x
         arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -213,10 +227,47 @@ class ConeMetricSpace:
             return x == y
         return self.d_norm(x, y) <= eps
 
-    def canonical_pairs(self):
-        """All ordered label pairs (diagonal included), label-lexicographic."""
-        labels = sorted(self.labels)
-        return [(a, b) for a in labels for b in labels]
+    def distance_tensor(self) -> np.ndarray:
+        """Every distance of a finite space at once.
+
+        ``D[i, j] = d(order[i], order[j])`` over the sorted labels, with the
+        same values (bit for bit) and the same missing-entry error as
+        :meth:`d`; for tables the error names the first missing pair in
+        canonical order.
+        """
+        order = self.points.order
+        n, p = len(order), self.cone.space.dim
+        metric = self.metric
+        if isinstance(metric, LiftedMetric):
+            if metric.base == "discrete":
+                rho = 1.0 - np.eye(n)
+            else:
+                pos = np.array([self.points.positions[label] for label in order])
+                rho = np.empty((n, n))
+                step = max(1, CHUNK_ELEMENTS // (n * pos.shape[1]))
+                for lo in range(0, n, step):
+                    rho[lo : lo + step] = euclidean_norms(pos[lo : lo + step, None] - pos[None])
+            return rho[:, :, None] * metric.weight
+        dist = np.zeros((n, n, p))
+        known = np.eye(n, dtype=bool)
+        if metric.entries:
+            index = self.points.index
+            rows = np.array([index[a] for a, _ in metric.entries])
+            cols = np.array([index[b] for _, b in metric.entries])
+            values = np.array(list(metric.entries.values()))
+            # reversed pairs first, so a pair's own entry wins over the fallback
+            dist[cols, rows] = values
+            dist[rows, cols] = values
+            known[rows, cols] = known[cols, rows] = True
+        if not known.all():
+            i, j = np.argwhere(~known)[0]
+            raise ContractViolationError(f"metric table has no entry for ({order[i]}, {order[j]})")
+        return dist
+
+    def image_indices(self, mapping) -> np.ndarray:
+        """``t[i]`` is the place of ``T(order[i])`` in the sorted labels."""
+        index = self.points.index
+        return np.array([index[mapping.apply(self, x)] for x in self.points.order], dtype=np.intp)
 
     def sample_point(self, rng):
         if self.is_finite:
@@ -338,13 +389,19 @@ def contraction_residual(space: ConeMetricSpace, mapping, coeffs, x, y) -> np.nd
 
     Returns ``A1 d(x,y) + A2 d(x,Tx) + A3 d(y,Ty) + A4 d(x,Ty) + A4 d(y,Tx)
     - d(Tx,Ty)``; the inequality holds at (x, y) iff this vector is a cone
-    member.
+    member.  This is the single-pair reference for the exhaustive sweep of
+    :func:`check_hypotheses`, which computes the same vectors for all pairs
+    at once.
     """
     x = space.check_point(x)
     y = space.check_point(y)
+    return _residual(space, mapping, coeffs.at(x, y), x, y)
+
+
+def _residual(space: ConeMetricSpace, mapping, ops, x, y) -> np.ndarray:
     tx = mapping.apply(space, x)
     ty = mapping.apply(space, y)
-    a1, a2, a3, a4 = coeffs.at(x, y)
+    a1, a2, a3, a4 = ops
     rhs = (
         a1.matrix @ space.d(x, y)
         + a2.matrix @ space.d(x, tx)
@@ -353,6 +410,43 @@ def contraction_residual(space: ConeMetricSpace, mapping, coeffs, x, y) -> np.nd
         + a4.matrix @ space.d(y, tx)
     )
     return rhs - space.d(tx, ty)
+
+
+def _act(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    # Stacked matrix-vector products; the 1-column form rounds exactly like
+    # ``matrix @ vector`` for each pair, unlike one large ``vectors @ M.T``.
+    return (matrices @ vectors[..., None])[..., 0]
+
+
+def _finite_residuals(space: ConeMetricSpace, mapping, quads) -> np.ndarray:
+    """Contraction residuals at every ordered pair of a finite space, shape (N, N, p).
+
+    ``quads`` holds either one operator quadruple shared by every pair or
+    one per pair in canonical order.  Entry ``[i, j]`` equals
+    :func:`contraction_residual` at ``(order[i], order[j])`` bit for bit.
+    """
+    dist = space.distance_tensor()
+    t = space.image_indices(mapping)
+    n, p = dist.shape[0], dist.shape[2]
+    d_x_tx = dist[np.arange(n), t]  # d(x, Tx)
+    d_x_ty = dist[:, t]  # [i, j]: d(x_i, T x_j)
+    if len(quads) == 1:
+        a1, a2, a3, a4 = (op.matrix for op in quads[0])
+        cross = _act(a4, d_x_ty)
+        cross_t = cross.transpose(1, 0, 2)  # [i, j]: A4 d(x_j, T x_i)
+    else:
+        stacked = np.array([[op.matrix for op in q] for q in quads]).reshape(n, n, 4, p, p)
+        a1, a2, a3, a4 = (stacked[:, :, c] for c in range(4))
+        cross = _act(a4, d_x_ty)
+        cross_t = _act(a4, d_x_ty.transpose(1, 0, 2))
+    return (
+        _act(a1, dist)
+        + _act(a2, d_x_tx[:, None])
+        + _act(a3, d_x_tx[None, :])
+        + cross
+        + cross_t
+        - dist[np.ix_(t, t)]
+    )
 
 
 @dataclass(eq=False)
@@ -423,13 +517,21 @@ class HypothesisReport:
 MAX_WITNESSES = 25
 
 
+def _label_pair(order):
+    """The pair of labels at a position of the canonical (row-major) pair order."""
+    n = len(order)
+    return lambda i: (order[i // n], order[i % n])
+
+
 def _resolve_pairs(space: ConeMetricSpace, pair_source):
+    """Number of pairs, the pair at a sweep position, and whether the sweep is exhaustive."""
     if pair_source == "all":
         if not space.is_finite:
             raise ContractViolationError(
                 "exhaustive pair sweeps need a finite space; use ('sampled', n, seed)"
             )
-        return space.canonical_pairs(), True
+        order = space.points.order
+        return len(order) ** 2, _label_pair(order), True
     if isinstance(pair_source, tuple) and len(pair_source) == 3 and pair_source[0] == "sampled":
         _, n, seed = pair_source
         if int(n) < 1:
@@ -438,8 +540,29 @@ def _resolve_pairs(space: ConeMetricSpace, pair_source):
         # Sequential draws keep any prefix of the sample identical, so
         # enlarging n can only add pairs (checker monotonicity).
         pairs = [(space.sample_point(rng), space.sample_point(rng)) for _ in range(int(n))]
-        return pairs, False
+        return len(pairs), pairs.__getitem__, False
     raise ContractViolationError(f"unknown pair source {pair_source!r}")
+
+
+def _operator_stats(ops, cone: PolyhedralCone, tol: float) -> dict:
+    """Norm sum, invariance flags and composite norm of one operator quadruple."""
+    a1, a2, a3, a4 = ops
+    norms = tuple(operator_norm(op) for op in ops)
+    stats = {
+        "alpha": norms[0] + norms[1] + norms[2] + 2.0 * norms[3],
+        "i3": invariance_check(a1 + a2, cone, tol),
+        "hb": invariance_check(a2, cone, tol),
+        "i4": invariance_check(a4, cone, tol),
+    }
+    try:
+        inv = resolvent(a3, a4)
+    except ConefixError as exc:
+        stats.update(i5=False, i5_detail=str(exc), s_norm=None)
+        return stats
+    stats["i5"] = invariance_check(inv, cone, tol)
+    stats["i5_detail"] = "resolvent maps a generator out of the cone"
+    stats["s_norm"] = operator_norm(inv @ (a1 + a2 + a4))
+    return stats
 
 
 def check_hypotheses(
@@ -454,123 +577,88 @@ def check_hypotheses(
 ) -> HypothesisReport:
     """Sweep the certifying conditions over a pair source.
 
-    ``k`` defaults to the cone's declared normal constant.  For constant
-    coefficient families the operator-level conditions are evaluated once
-    and reused across pairs; the contraction residual is always per pair.
-    Ties in the witnessed maxima are broken by the first pair in canonical
-    order, so the report is independent of evaluation order.
+    ``k`` defaults to the cone's declared normal constant.  Coefficients are
+    fetched once per pair in sweep order (once in all for a constant
+    family), and the operator-level conditions are evaluated once per
+    fetched quadruple.  The exhaustive sweep computes every residual in one
+    array expression over the distance tensor; a sampled sweep goes pair by
+    pair.  Ties in the witnessed maxima are broken by the first pair in
+    sweep order, and witnesses are listed in sweep order, so the report is
+    independent of how the residuals were evaluated.
     """
     k = space.cone.normal_constant if k is None else float(k)
     if k < 1.0:
         raise ContractViolationError("normal constant must be >= 1")
-    pairs, exhaustive = _resolve_pairs(space, pair_source)
+    n_pairs, pair_at, exhaustive = _resolve_pairs(space, pair_source)
     cone = space.cone
 
-    alpha = -np.inf
-    beta = -np.inf
-    alpha_pair = None
-    beta_pair = None
-    flags = {"i3": True, "hb": True, "i4": True, "i5": True}
-    contraction_ok = True
-    beta_defined = True
-    witnesses: list[Witness] = []
-    cache: dict = {}
+    # Quadruple q serves sweep position q (and, for a constant family, all).
+    if getattr(coeffs, "is_constant", False):
+        quads = [coeffs.at(*pair_at(0))]
+    else:
+        quads = [coeffs.at(*pair_at(i)) for i in range(n_pairs)]
+    stats = [_operator_stats(ops, cone, tol) for ops in quads]
 
-    def witness(condition, x, y, detail, value=None, vector=None):
-        if len(witnesses) < MAX_WITNESSES:
-            witnesses.append(Witness(condition, x, y, detail, value, vector))
+    if exhaustive:
+        residuals = _finite_residuals(space, mapping, quads).reshape(n_pairs, -1)
+    else:
 
-    def operator_stats(ops):
-        a1, a2, a3, a4 = ops
-        norms = tuple(operator_norm(op) for op in ops)
-        stats = {
-            "alpha": norms[0] + norms[1] + norms[2] + 2.0 * norms[3],
-            "i3": invariance_check(a1 + a2, cone, tol),
-            "hb": invariance_check(a2, cone, tol),
-            "i4": invariance_check(a4, cone, tol),
-        }
-        try:
-            inv = resolvent(a3, a4)
-        except ConefixError as exc:
-            stats["i5"] = False
-            stats["i5_detail"] = str(exc)
-            stats["s_norm"] = None
-            return stats
-        stats["i5"] = invariance_check(inv, cone, tol)
-        if not stats["i5"]:
-            escape = first_escaping_generator(inv, cone, tol)
-            stats["i5_detail"] = (
-                "resolvent maps a generator out of the cone" if escape else "resolvent escaped"
+        def residual_at(i):
+            x, y = (space.check_point(z) for z in pair_at(i))
+            return _residual(space, mapping, quads[0 if len(quads) == 1 else i], x, y)
+
+        residuals = np.array([residual_at(i) for i in range(n_pairs)])
+    finite = np.isfinite(residuals).all(axis=-1)
+    if not finite.all():
+        x, y = pair_at(int(np.argmin(finite)))
+        raise ContractViolationError(f"contraction residual at ({x}, {y}) has non-finite entries")
+    products = _act(cone.facets, residuals)
+    failing = np.flatnonzero(~np.all(products >= -tol, axis=-1))
+
+    # (sweep position, rank within the pair, witness); sorting restores the
+    # order in which a pair-by-pair sweep meets them.
+    events = []
+    flags = {}
+    for rank, name in enumerate(("i3", "hb", "i4", "i5")):
+        first = next((q for q, st in enumerate(stats) if not st[name]), None)
+        flags[name] = first is None
+        if first is not None:
+            detail = (
+                stats[first]["i5_detail"]
+                if name == "i5"
+                else f"{name}: operator maps a generator out of the cone"
             )
-        stats["s_norm"] = operator_norm(s_operator(a1, a2, a3, a4))
-        return stats
+            events.append((first, rank, Witness(name, *pair_at(first), detail)))
+    for i in failing[:MAX_WITNESSES]:
+        worst = float(np.min(products[i]))
+        detail = f"residual leaves the cone (worst facet product {worst:.6g})"
+        vector = residuals[i].copy()
+        events.append((int(i), 4, Witness("contraction", *pair_at(i), detail, worst, vector)))
+    witnesses = [w for _, _, w in sorted(events, key=lambda e: e[:2])][:MAX_WITNESSES]
 
-    for x, y in pairs:
-        ops = coeffs.at(x, y)
-        key = "const" if getattr(coeffs, "is_constant", False) else None
-        if key is not None and key in cache:
-            stats = cache[key]
-        else:
-            stats = operator_stats(ops)
-            if key is not None:
-                cache[key] = stats
+    def witness(condition, x, y, detail, value):
+        if len(witnesses) < MAX_WITNESSES:
+            witnesses.append(Witness(condition, x, y, detail, value))
 
-        if stats["alpha"] > alpha:
-            alpha = stats["alpha"]
-            alpha_pair = (x, y)
-        for name in ("i3", "hb", "i4", "i5"):
-            if not stats[name] and flags[name]:
-                flags[name] = False
-                if name == "i5":
-                    detail = stats.get("i5_detail", "resolvent escaped the cone")
-                else:
-                    detail = f"{name}: operator maps a generator out of the cone"
-                witness(name, x, y, detail)
-            elif not stats[name]:
-                pass  # already recorded; one witness per operator condition suffices
-        if stats["s_norm"] is None:
-            beta_defined = False
-        elif stats["s_norm"] > beta:
-            beta = stats["s_norm"]
-            beta_pair = (x, y)
-
-        r = contraction_residual(space, mapping, coeffs, x, y)
-        if not cone_contains(cone, r, tol):
-            if contraction_ok or len(witnesses) < MAX_WITNESSES:
-                worst = float(np.min(cone.facets @ r))
-                witness(
-                    "contraction",
-                    x,
-                    y,
-                    f"residual leaves the cone (worst facet product {worst:.6g})",
-                    value=worst,
-                    vector=r,
-                )
-            contraction_ok = False
-
-    if alpha == -np.inf:
-        alpha = 0.0
+    a_at = max(range(len(stats)), key=lambda q: stats[q]["alpha"])
+    alpha, alpha_pair = stats[a_at]["alpha"], pair_at(a_at)
     i1 = alpha < 1.0 / k
     if not i1:
         witness(
             "i1",
-            *(alpha_pair or (None, None)),
+            *alpha_pair,
             f"coefficient norm sum {alpha:.17g} is not below 1/k = {1.0 / k:.17g}",
             value=alpha,
         )
-    if beta == -np.inf:
-        beta = float("nan")
-        beta_defined = False
+    defined = [q for q, st in enumerate(stats) if st["s_norm"] is not None]
+    beta_defined = len(defined) == len(stats)
+    beta, beta_pair = float("nan"), None
+    if defined:
+        b_at = max(defined, key=lambda q: stats[q]["s_norm"])
+        beta, beta_pair = stats[b_at]["s_norm"], pair_at(b_at)
     i2 = beta_defined and beta < 1.0
     if beta_defined and not i2:
-        witness(
-            "i2",
-            *(beta_pair or (None, None)),
-            f"composite operator norm {beta:.17g} is not below 1",
-            value=beta,
-        )
-    if not beta_defined:
-        i2 = False
+        witness("i2", *beta_pair, f"composite operator norm {beta:.17g} is not below 1", value=beta)
 
     mismatches = []
     if declared_alpha is not None and abs(declared_alpha - alpha) > 1e-9 * max(1.0, abs(alpha)):
@@ -594,9 +682,9 @@ def check_hypotheses(
         hb_pass=flags["hb"],
         i4_pass=flags["i4"],
         i5_pass=flags["i5"],
-        contraction_pass=contraction_ok,
+        contraction_pass=failing.size == 0,
         witnesses=witnesses,
-        pairs_checked=len(pairs),
+        pairs_checked=n_pairs,
         exhaustive=exhaustive,
         alpha_pair=alpha_pair,
         beta_pair=beta_pair,
@@ -628,6 +716,42 @@ class MetricAxiomReport:
         return self.axiom_a_pass and self.axiom_b_pass and self.axiom_c_pass
 
 
+MAX_MESSAGES = 25
+
+
+def _pair_axioms(cone, dxy, dyx, same, pair_at, tol, messages) -> tuple[bool, bool]:
+    """Axioms (a) and (b) over stacks of ``d(x, y)`` and ``d(y, x)``, noted in pair order."""
+    member = cone_members(cone, dxy, tol)
+    norms = cone.space.norms(dxy)
+    nonzero = same & (norms > tol)
+    vanishing = ~same & (norms <= tol)
+    asymmetric = cone.space.norms(dxy - dyx) > tol
+    for i in np.flatnonzero(~member | nonzero | vanishing | asymmetric):
+        if len(messages) >= MAX_MESSAGES:
+            break
+        x, y = pair_at(i)
+        if not member[i]:
+            messages.append(f"axiom (a): d({x}, {y}) is not a cone member")
+        if nonzero[i]:
+            messages.append(f"axiom (a): d({x}, {x}) = {norms[i]:.6g} is nonzero")
+        if vanishing[i]:
+            messages.append(f"axiom (a): d({x}, {y}) vanishes for distinct points")
+        if asymmetric[i]:
+            messages.append(f"axiom (b): d({x}, {y}) != d({y}, {x})")
+    del messages[MAX_MESSAGES:]
+    a_ok = bool(member.all() and not nonzero.any() and not vanishing.any())
+    return a_ok, not bool(asymmetric.any())
+
+
+def _triangle_axiom(cone, slack, triple_at, tol, messages) -> bool:
+    """Axiom (c) over a stack of slacks ``d(x,z) + d(z,y) - d(x,y)``, noted in order."""
+    fails = np.flatnonzero(~cone_members(cone, slack, tol))
+    for i in fails[: MAX_MESSAGES - len(messages)]:
+        x, y, z = triple_at(i)
+        messages.append(f"axiom (c): triangle slack for ({x}, {z}, {y}) leaves the cone")
+    return fails.size == 0
+
+
 def check_metric_axioms(
     space: ConeMetricSpace,
     n_samples: int = 200,
@@ -638,60 +762,55 @@ def check_metric_axioms(
 
     Axiom (a): distances are cone members, vanish exactly on the diagonal,
     and are nonzero off it.  Axiom (b): symmetry.  Axiom (c): the triangle
-    slack ``d(x,z) + d(z,y) - d(x,y)`` is a cone member.
+    slack ``d(x,z) + d(z,y) - d(x,y)`` is a cone member.  Finite spaces are
+    swept over the distance tensor, the triangles one first point at a
+    time; failures are noted in canonical (pair, then triple) order.
     """
     cone = space.cone
+    messages: list[str] = []
     if space.is_finite:
-        labels = sorted(space.labels)
-        pairs = [(a, b) for a in labels for b in labels]
-        triples = [(a, b, c) for a in labels for b in labels for c in labels]
-        exhaustive = True
+        order = space.points.order
+        n = len(order)
+        dist = space.distance_tensor()
+        dist_t = np.ascontiguousarray(dist.transpose(1, 0, 2))  # [y, z]: d(z, y)
+        same = np.eye(n, dtype=bool).ravel()
+        pair_at = _label_pair(order)
+        a_ok, b_ok = _pair_axioms(
+            cone, dist.reshape(n * n, -1), dist_t.reshape(n * n, -1), same, pair_at, tol, messages
+        )
+        c_ok = True
+        for a, x in enumerate(order):
+            slack = (dist[a][None, :] + dist_t) - dist[a][:, None]  # [y, z]
+            ok = _triangle_axiom(cone, slack, lambda i, x=x: (x, *pair_at(i)), tol, messages)
+            c_ok = c_ok and ok
+            if not c_ok and len(messages) >= MAX_MESSAGES:
+                break  # the verdict and the messages are settled
+        pairs_checked, triples_checked, exhaustive = n * n, n**3, True
     else:
         rng = np.random.default_rng(seed)
         pts = [space.sample_point(rng) for _ in range(max(3, n_samples))]
-        pairs = [(pts[i], pts[(i * 7 + 1) % len(pts)]) for i in range(len(pts))]
-        triples = [
-            (pts[i], pts[(i * 3 + 1) % len(pts)], pts[(i * 5 + 2) % len(pts)])
-            for i in range(len(pts))
-        ]
-        exhaustive = False
-
-    a_ok = b_ok = c_ok = True
-    messages: list[str] = []
-
-    def note(msg):
-        if len(messages) < 25:
-            messages.append(msg)
-
-    for x, y in pairs:
-        dxy = space.d(x, y)
-        if not cone_contains(cone, dxy, tol):
-            a_ok = False
-            note(f"axiom (a): d({x}, {y}) is not a cone member")
-        same = (x == y) if space.is_finite else bool(np.array_equal(x, y))
-        nxy = cone.space.norm(dxy)
-        if same and nxy > tol:
-            a_ok = False
-            note(f"axiom (a): d({x}, {x}) = {nxy:.6g} is nonzero")
-        if not same and nxy <= tol:
-            a_ok = False
-            note(f"axiom (a): d({x}, {y}) vanishes for distinct points")
-        dyx = space.d(y, x)
-        if cone.space.norm(dxy - dyx) > tol:
-            b_ok = False
-            note(f"axiom (b): d({x}, {y}) != d({y}, {x})")
-    for x, y, z in triples:
-        slack = space.d(x, z) + space.d(z, y) - space.d(x, y)
-        if not cone_contains(cone, slack, tol):
-            c_ok = False
-            note(f"axiom (c): triangle slack for ({x}, {z}, {y}) leaves the cone")
+        n = len(pts)
+        pairs = [(pts[i], pts[(i * 7 + 1) % n]) for i in range(n)]
+        triples = [(pts[i], pts[(i * 3 + 1) % n], pts[(i * 5 + 2) % n]) for i in range(n)]
+        a_ok, b_ok = _pair_axioms(
+            cone,
+            np.array([space.d(x, y) for x, y in pairs]),
+            np.array([space.d(y, x) for x, y in pairs]),
+            np.array([np.array_equal(x, y) for x, y in pairs]),
+            pairs.__getitem__,
+            tol,
+            messages,
+        )
+        slack = np.array([space.d(x, z) + space.d(z, y) - space.d(x, y) for x, y, z in triples])
+        c_ok = _triangle_axiom(cone, slack, triples.__getitem__, tol, messages)
+        pairs_checked, triples_checked, exhaustive = len(pairs), len(triples), False
 
     return MetricAxiomReport(
         axiom_a_pass=a_ok,
         axiom_b_pass=b_ok,
         axiom_c_pass=c_ok,
-        pairs_checked=len(pairs),
-        triples_checked=len(triples),
+        pairs_checked=pairs_checked,
+        triples_checked=triples_checked,
         exhaustive=exhaustive,
         messages=messages,
     )

@@ -135,15 +135,6 @@ def invariance_check(
     return True
 
 
-def first_escaping_generator(op: LinearOperator, cone: PolyhedralCone, tol: float = DEFAULT_MEMBERSHIP_TOL):
-    """First generator whose image leaves the cone, or None; used for witnesses."""
-    for g in cone.generators:
-        img = op.matrix @ g
-        if not cone_contains(cone, img, tol):
-            return g, img
-    return None
-
-
 def neumann_inverse(matrix: np.ndarray, norm_bound: float, space: NormedSpace,
                     target_tol: float = 1e-9) -> np.ndarray:
     """Partial sums of the geometric series for ``(I - matrix)^{-1}``.

@@ -155,7 +155,8 @@ class FiniteInstance:
 
 def brute_force_fixed_points(instance: FiniteInstance) -> list[str]:
     """Exact fixed-point list by full enumeration, in label order."""
-    return [l for l in sorted(instance.space.labels) if instance.mapping.table[l] == l]
+    t = instance.space.image_indices(instance.mapping)
+    return [instance.space.points.order[i] for i in np.flatnonzero(t == np.arange(t.size))]
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +263,10 @@ def _random_cone_weight(rng, cone: PolyhedralCone) -> np.ndarray:
 
 def _lipschitz_factor(space: ConeMetricSpace, mapping: TableMapping) -> float:
     """Exact worst-case stretch of the mapping over all distinct pairs."""
-    worst = 0.0
-    labels = sorted(space.labels)
-    for x in labels:
-        for y in labels:
-            if x == y:
-                continue
-            dxy = space.d_norm(x, y)
-            if dxy == 0.0:
-                continue
-            dtxty = space.d_norm(mapping.table[x], mapping.table[y])
-            worst = max(worst, dtxty / dxy)
-    return worst
+    norms = space.cone.space.norms(space.distance_tensor())
+    t = space.image_indices(mapping)
+    moved = (norms != 0.0) & ~np.eye(t.size, dtype=bool)
+    return float(np.max(norms[np.ix_(t, t)][moved] / norms[moved], initial=0.0))
 
 
 def _is_orthant(cone: PolyhedralCone) -> bool:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conefix import ProblemFileError
+from conefix import ConefixError, ProblemFileError
 from conefix.problemfile import parse_problem_text
 
 
@@ -145,6 +145,14 @@ class TestStrictness:
         doc = base_doc()
         doc["space"]["cone"]["generators"] = [[1.0, 0.0, 0.0]]
         with pytest.raises(ProblemFileError):
+            parse(doc)
+
+    @pytest.mark.parametrize("b", [[1.0, 2.0], [[1.0]]], ids=["mixed", "matrix"])
+    def test_positions_must_be_vectors_of_one_dimension(self, b):
+        # a one-coordinate and a two-coordinate point would broadcast silently
+        doc = base_doc()
+        doc["space"]["metric"]["positions"] = {"a": [0.0], "b": b}
+        with pytest.raises(ConefixError, match="one common dimension"):
             parse(doc)
 
     def test_normal_constant_below_one_rejected(self):
