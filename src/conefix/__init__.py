@@ -47,7 +47,6 @@ from .linops import (
     apply,
     induced_norm,
     invariance_check,
-    neumann_inverse,
     operator_norm,
     resolvent,
     s_operator,

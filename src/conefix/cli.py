@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .cones import DEFAULT_MEMBERSHIP_TOL, check_declared_normal_constant, validate_cone
-from .contraction import check_hypotheses, check_metric_axioms
+from .contraction import CONDITIONS, check_hypotheses, check_metric_axioms
 from .errors import ConefixError, NonConvergenceError, ProblemFileError
 from .problemfile import parse_problem_file
 from .solver import picard_solve, probe_open_problem, verify_proof_bounds
@@ -89,14 +89,8 @@ def _report_entries(report):
         ("k", report.k),
         ("alpha", report.alpha),
         ("beta", report.beta),
-        ("i1_pass", report.i1_pass),
-        ("i2_pass", report.i2_pass),
-        ("i3_pass", report.i3_pass),
-        ("hb_pass", report.hb_pass),
-        ("i4_pass", report.i4_pass),
-        ("i5_pass", report.i5_pass),
-        ("contraction_pass", report.contraction_pass),
     ]
+    entries += [(f"{name}_pass", getattr(report, f"{name}_pass")) for name in CONDITIONS]
     for i, msg in enumerate(report.declaration_mismatches):
         entries.append((f"declaration_mismatch.{i}", msg))
     return entries

@@ -491,27 +491,10 @@ class HypothesisReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.i1_pass
-            and self.i2_pass
-            and self.i3_pass
-            and self.hb_pass
-            and self.i4_pass
-            and self.i5_pass
-            and self.contraction_pass
-        )
+        return not self.failing_conditions()
 
     def failing_conditions(self) -> list[str]:
-        flags = {
-            "i1": self.i1_pass,
-            "i2": self.i2_pass,
-            "i3": self.i3_pass,
-            "hb": self.hb_pass,
-            "i4": self.i4_pass,
-            "i5": self.i5_pass,
-            "contraction": self.contraction_pass,
-        }
-        return [name for name in CONDITIONS if not flags[name]]
+        return [name for name in CONDITIONS if not getattr(self, f"{name}_pass")]
 
 
 MAX_WITNESSES = 25

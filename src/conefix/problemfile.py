@@ -8,6 +8,7 @@ consistency with the declared ``dim``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,26 @@ def _get(obj, key, section, required=True, default=None):
     return obj[key]
 
 
+def _number(value, section, integer=False):
+    """A JSON number as a finite float, or as an int when ``integer``; bools are neither."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        expected = "an integer" if integer else "a number"
+        raise ProblemFileError(f"expected {expected}, got {value!r}", section)
+    if integer:
+        return value
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ProblemFileError(f"expected a finite number, got {number}", section)
+    return number
+
+
+def _reject_constant(token):
+    raise ProblemFileError(f"non-finite number {token} is not allowed", "document")
+
+
 def _matrix(value, dim, section):
     try:
         arr = np.asarray(value, dtype=float)
@@ -120,8 +141,8 @@ def _parse_space(doc, top_normal_constant):
     section = "space"
     block = _get(doc, "space", "top level")
     _require_keys(block, SPACE_KEYS, section)
-    dim = _get(block, "dim", section)
-    if not isinstance(dim, int) or dim < 1:
+    dim = _number(_get(block, "dim", section), f"{section}.dim", integer=True)
+    if dim < 1:
         raise ProblemFileError("dim must be a positive integer", section)
     space = _parse_norm(_get(block, "norm", section), dim, f"{section}.norm")
 
@@ -130,10 +151,11 @@ def _parse_space(doc, top_normal_constant):
     generators = _matrix(_get(cone_block, "generators", f"{section}.cone"), dim, f"{section}.cone.generators")
     facets = _matrix(_get(cone_block, "facets", f"{section}.cone"), dim, f"{section}.cone.facets")
     k = _get(cone_block, "normal_constant", f"{section}.cone", required=False, default=1.0)
+    k = _number(k, f"{section}.cone.normal_constant")
     if top_normal_constant is not None:
         k = top_normal_constant
     try:
-        cone = PolyhedralCone(space, generators, facets, normal_constant=float(k))
+        cone = PolyhedralCone(space, generators, facets, normal_constant=k)
     except ConefixError as exc:
         raise ProblemFileError(str(exc), f"{section}.cone") from None
 
@@ -154,8 +176,8 @@ def _parse_space(doc, top_normal_constant):
                 }
             points = FinitePoints(labels, positions)
         else:
-            m = _get(metric_block, "m", msec)
-            if not isinstance(m, int) or m < 1:
+            m = _number(_get(metric_block, "m", msec), f"{msec}.m", integer=True)
+            if m < 1:
                 raise ProblemFileError("m must be a positive integer", msec)
             points = EuclideanPoints(m)
         metric = LiftedMetric(base, weight)
@@ -268,7 +290,7 @@ def _parse_solve(doc, space):
         x0 = _vector(
             x0_raw if isinstance(x0_raw, list) else [x0_raw], space.points.m, f"{section}.x0"
         )
-    eps = float(_get(block, "eps", section))
+    eps = _number(_get(block, "eps", section), f"{section}.eps")
     if eps <= 0:
         raise ProblemFileError("eps must be positive", section)
     max_iter = _get(block, "max_iter", section, required=False)
@@ -276,8 +298,8 @@ def _parse_solve(doc, space):
     return SolveParams(
         x0=x0,
         eps=eps,
-        max_iter=None if max_iter is None else int(max_iter),
-        beta=None if beta is None else float(beta),
+        max_iter=None if max_iter is None else _number(max_iter, f"{section}.max_iter", integer=True),
+        beta=None if beta is None else _number(beta, f"{section}.beta"),
     )
 
 
@@ -292,9 +314,13 @@ def _parse_check(doc):
         _require_keys(source, PAIR_SOURCE_KEYS, f"{section}.pair_source")
         sampled = source["sampled"]
         _require_keys(sampled, SAMPLED_KEYS, f"{section}.pair_source.sampled")
-        n = _get(sampled, "n", f"{section}.pair_source.sampled")
-        seed = _get(sampled, "seed", f"{section}.pair_source.sampled", required=False, default=0)
-        source = ("sampled", int(n), int(seed))
+        ssec = f"{section}.pair_source.sampled"
+        n = _number(_get(sampled, "n", ssec), f"{ssec}.n", integer=True)
+        seed = _get(sampled, "seed", ssec, required=False, default=0)
+        seed = _number(seed, f"{ssec}.seed", integer=True)
+        if seed < 0:
+            raise ProblemFileError("seed must be nonnegative", ssec)
+        source = ("sampled", n, seed)
     elif source != "all":
         raise ProblemFileError(f"unknown pair source {source!r}", section)
     tol = _get(block, "tol", section, required=False)
@@ -302,20 +328,20 @@ def _parse_check(doc):
     beta = _get(block, "beta", section, required=False)
     return CheckParams(
         pair_source=source,
-        tol=None if tol is None else float(tol),
-        alpha=None if alpha is None else float(alpha),
-        beta=None if beta is None else float(beta),
+        tol=None if tol is None else _number(tol, f"{section}.tol"),
+        alpha=None if alpha is None else _number(alpha, f"{section}.alpha"),
+        beta=None if beta is None else _number(beta, f"{section}.beta"),
     )
 
 
 def parse_problem_text(text: str) -> Problem:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"invalid JSON: {exc}", "document") from None
     _require_keys(doc, TOP_KEYS, "top level")
     top_k = doc.get("normal_constant")
-    space = _parse_space(doc, None if top_k is None else float(top_k))
+    space = _parse_space(doc, None if top_k is None else _number(top_k, "normal_constant"))
     mapping = _parse_mapping(doc, space)
     coeffs = _parse_coefficients(doc, space)
     solve = _parse_solve(doc, space)

@@ -12,7 +12,7 @@ retried.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -301,17 +301,7 @@ class ProbeRow:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "size": self.size,
-            "witnessed_alpha": self.witnessed_alpha,
-            "witnessed_beta": self.witnessed_beta,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "multiplicity": self.multiplicity,
-            "experimental": self.experimental,
-            "note": self.note,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProbeRow":
@@ -336,30 +326,11 @@ class ProbeReport:
     label: str = "EXPERIMENTAL"
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "k": self.k,
-            "alpha_min": self.alpha_min,
-            "alpha_max": self.alpha_max,
-            "n_instances": self.n_instances,
-            "seed": self.seed,
-            "eps": self.eps,
-            "rows": [r.to_dict() for r in self.rows],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProbeReport":
-        rows = [ProbeRow.from_dict(r) for r in data["rows"]]
-        return cls(
-            k=data["k"],
-            alpha_min=data["alpha_min"],
-            alpha_max=data["alpha_max"],
-            n_instances=data["n_instances"],
-            seed=data["seed"],
-            eps=data["eps"],
-            rows=rows,
-            label=data["label"],
-        )
+        return cls(**{**data, "rows": [ProbeRow.from_dict(r) for r in data["rows"]]})
 
     def equals(self, other: "ProbeReport") -> bool:
         return self.to_dict() == other.to_dict()

@@ -355,13 +355,6 @@ def generate_probe_instance(rng, k: float, alpha_min: float, alpha_max: float):
     space, mapping = _ladder_space(rng, size, cone, gamma)
     instance = FiniteInstance(space, mapping, _scalarish_coefficients(cone.space, (a1, a2, a3, a4)))
     report = check_hypotheses(instance.space, instance.mapping, instance.coeffs, k=k)
-    if not (
-        report.i2_pass
-        and report.i3_pass
-        and report.hb_pass
-        and report.i4_pass
-        and report.i5_pass
-        and report.contraction_pass
-    ):
+    if not set(report.failing_conditions()) <= {"i1"}:
         raise GenerationError("probe instance failed a condition it was built to satisfy")
     return instance, report

@@ -45,6 +45,20 @@ def broken_metric_doc():
     }
 
 
+# (path to a key of banach_scalar.json, raw JSON token put there, command)
+BAD_NUMBERS = [
+    (("solve", "eps"), '"abc"', ["solve"]),
+    (("solve", "max_iter"), '"x"', ["solve"]),
+    (("check", "pair_source", "sampled", "n"), '"many"', ["check"]),
+    (("check", "pair_source", "sampled", "seed"), "-1", ["check"]),
+    (("solve", "eps"), "NaN", ["solve"]),
+    (("solve", "beta"), "NaN", ["solve", "--force"]),
+    (("solve", "eps"), "1e400", ["solve"]),
+    (("space", "dim"), "true", ["check"]),
+    (("space", "metric", "m"), "true", ["check"]),
+]
+
+
 class TestExitCodes:
     def test_validate_ok(self):
         code, out = run_cli(["validate", str(PROBLEMS / "banach_scalar.json")])
@@ -80,6 +94,22 @@ class TestExitCodes:
         code, out = run_cli(["check", path])
         assert code == 2
         assert "surprise" in out
+
+    @pytest.mark.parametrize(
+        "keys,token,argv", BAD_NUMBERS, ids=[".".join(k) + "=" + t for k, t, _ in BAD_NUMBERS]
+    )
+    def test_bad_number_is_input_error(self, tmp_path, keys, token, argv):
+        doc = json.loads((PROBLEMS / "banach_scalar.json").read_text())
+        block = doc
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = "@@"
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc).replace('"@@"', token), encoding="utf-8")
+        code, out = run_cli([argv[0], str(path), "--output", "machine", *argv[1:]])
+        assert code == 2
+        assert "exit_status=input-error" in out
+        assert "\nerror=" in out
 
     def test_check_ok(self):
         code, out = run_cli(["check", str(PROBLEMS / "finite_ladder.json"), "--output", "machine"])
@@ -139,6 +169,41 @@ class TestExitCodes:
         code, out = run_cli(["check", path])
         assert code == 2
         assert "audit" in out
+
+    def test_two_norm_alpha_not_under_reported(self, tmp_path):
+        # norm(A1) = 1 and norm(A2) = 0.25 in the two norm, so alpha = 1.25 >= 1/k;
+        # the all-ones vector is a singular vector for A1's smaller singular value
+        doc = {
+            "space": {
+                "dim": 2,
+                "norm": "two",
+                "cone": {
+                    "generators": [[1.0, 0.0], [0.0, 1.0]],
+                    "facets": [[1.0, 0.0], [0.0, 1.0]],
+                },
+                "metric": {
+                    "kind": "lifted",
+                    "base": "discrete",
+                    "weight": [1.0, 1.0],
+                    "labels": ["a", "b", "c"],
+                },
+            },
+            "mapping": {"kind": "table", "table": {"a": "a", "b": "a", "c": "a"}},
+            "coefficients": {
+                "kind": "constant",
+                "A1": [[0.75, -0.25], [-0.25, 0.75]],
+                "A2": [[0.0, 0.25], [0.25, 0.0]],
+                "A3": [[0.0, 0.0], [0.0, 0.0]],
+                "A4": [[0.0, 0.0], [0.0, 0.0]],
+            },
+        }
+        path = write_problem(tmp_path, doc)
+        code, out = run_cli(["check", path, "--output", "machine"])
+        assert code == 3
+        assert "i1_pass=false" in out
+        fields = dict(line.split("=", 1) for line in out.splitlines())
+        assert float(fields["alpha"]) == pytest.approx(1.25, rel=1e-12)
+        assert "witness.0.condition=i1" in out
 
     def test_solve_ok(self):
         code, out = run_cli(["solve", str(PROBLEMS / "banach_scalar.json"), "--output", "machine"])

@@ -11,7 +11,6 @@ from conefix import (
     apply,
     induced_norm,
     invariance_check,
-    neumann_inverse,
     operator_norm,
     orthant,
     reduce_scalar,
@@ -79,11 +78,15 @@ class TestOperatorNorm:
         assert sampling_norm_oracle(m, space) == pytest.approx(1.0, abs=1e-9)
 
     def test_two_norm_against_svd_oracle(self):
-        space = NormedSpace(3, "two")
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            m = rng.normal(size=(3, 3))
+        matrices = [rng.normal(size=(3, 3)) for _ in range(20)] + [
+            # the all-ones vector is a singular vector for the smaller singular value
+            np.array([[1.5, -0.5], [-0.5, 1.5]]),
+            np.array([[0.75, -0.25], [-0.25, 0.75]]),
+        ]
+        for m in matrices:
             expected = float(np.linalg.svd(m, compute_uv=False)[0])
+            space = NormedSpace(m.shape[0], "two")
             assert induced_norm(m, space) == pytest.approx(expected, rel=1e-8)
 
     def test_two_norm_adversarial_start(self):
@@ -191,6 +194,19 @@ class TestResolvent:
                 total += term
             assert induced_norm(inv - total, space) <= 1e-8
 
+    @pytest.mark.parametrize("total", [0.9999, 0.999999])
+    def test_norm_sum_near_one_is_accepted(self, total):
+        # A3 + A4 = total * S with S row-stochastic, so norm(A3) + norm(A4)
+        # equals total and the inverse has norm 1 / (1 - total)
+        space = NormedSpace(3, "infinity")
+        s = np.random.default_rng(11).uniform(0.1, 1.0, (3, 3))
+        s /= s.sum(axis=1, keepdims=True)
+        m3, m4 = 0.6 * total * s, 0.4 * total * s
+        inv = resolvent(LinearOperator(m3, space), LinearOperator(m4, space)).matrix
+        expected = np.linalg.inv(np.eye(3) - m3 - m4)
+        assert induced_norm(inv - expected, space) <= 1e-8 * induced_norm(expected, space)
+        assert induced_norm(inv, space) == pytest.approx(1.0 / (1.0 - total), rel=1e-6)
+
 
 class TestSOperator:
     def test_corollary_quotient(self):
@@ -228,9 +244,3 @@ class TestSOperator:
             assert invariance_check(inv, orthant2_inf)
             assert invariance_check(s_operator(a1, a2, a3, a4), orthant2_inf)
 
-
-class TestNeumannHelper:
-    def test_requires_sub_unit_bound(self):
-        space = NormedSpace(2, "infinity")
-        with pytest.raises(ContractViolationError):
-            neumann_inverse(np.eye(2), 1.0, space)
