@@ -9,6 +9,7 @@ can be kept as golden files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -281,11 +282,23 @@ def cmd_probe(args):
 COMMANDS = {"validate": cmd_validate, "check": cmd_check, "solve": cmd_solve, "probe": cmd_probe}
 
 
+def _seed(text: str) -> int:
+    # numpy's generators refuse negative seeds
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_MEMBERSHIP_TOL,
                         help="membership tolerance on facet inner products")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled checks and probes")
+    common.add_argument("--seed", type=_seed, default=0,
+                        help="nonnegative seed for sampled checks and probes")
     common.add_argument("--output", choices=("human", "machine"), default="human")
     parser = argparse.ArgumentParser(
         prog="conefix",
@@ -323,9 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import, and reused by every later one
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         entries, status = COMMANDS[args.command](args)
     except (ProblemFileError, ConefixError) as exc:

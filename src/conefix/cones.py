@@ -14,6 +14,7 @@ the exact constant is a hard optimization in general.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,9 +100,11 @@ class NormedSpace:
             return a.sum(axis=-1)
         if self.kind == "two":
             return euclidean_norms(a)
-        if self.kind == "infinity":
-            return a.max(axis=-1)
-        return (np.asarray(self.weights) * a).max(axis=-1)
+        if self.kind == "weighted":
+            a = np.asarray(self.weights) * a
+        # an elementwise maximum over the coordinates is exact like ``max``,
+        # and far faster than a reduction along a short last axis
+        return functools.reduce(np.maximum, np.moveaxis(a, -1, 0))
 
 
 @dataclass(eq=False)

@@ -20,6 +20,7 @@ distance tensor of the space at once; on euclidean domains it is sampled
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,6 +42,11 @@ CONDITIONS = ("i1", "i2", "i3", "hb", "i4", "i5", "contraction")
 #: Elements per temporary array in chunked sweeps; chunks hold whole rows,
 #: so a chunk is never smaller than one row of the distance tensor.
 CHUNK_ELEMENTS = 1 << 17
+
+#: Largest distance tensor (N * N * p entries, 1 GiB of float64) that a
+#: finite space builds; the exhaustive sweep needs several arrays of that
+#: size besides, so larger spaces are refused instead of exhausting memory.
+TABLE_MAX_ELEMENTS = 1 << 27
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +143,15 @@ class TableMetric:
 
 
 class ConeMetricSpace:
-    """A point domain together with a cone-valued metric."""
+    """A point domain together with a cone-valued metric.
+
+    A space must not change after construction.  A finite space builds its
+    distance tensor and the norms of its entries once, on first use, and
+    every later distance, norm and sweep reads those read-only arrays.  So
+    even a single :meth:`d` or :meth:`d_norm` on a finite space costs the
+    whole ``N x N x p`` tensor, sampled checks included, and a space whose
+    tensor would exceed :data:`TABLE_MAX_ELEMENTS` entries is refused.
+    """
 
     def __init__(self, cone: PolyhedralCone, points, metric):
         self.cone = cone
@@ -168,6 +182,8 @@ class ConeMetricSpace:
                     raise ContractViolationError(f"table entry ({a}, {b}) names unknown points")
         else:
             raise ContractViolationError("metric must be a LiftedMetric or a TableMetric")
+        self._dist = None  # (D, known) of a finite space; known is None when complete
+        self._norms = None  # norms of D, NaN where a table has no entry
 
     @property
     def is_finite(self) -> bool:
@@ -191,36 +207,52 @@ class ConeMetricSpace:
             )
         return arr
 
-    def _rho(self, x, y) -> float:
-        base = self.metric.base
-        if base == "discrete":
-            if self.is_finite:
-                return 0.0 if x == y else 1.0
-            return 0.0 if np.array_equal(x, y) else 1.0
-        if self.is_finite:
-            px = self.points.positions[x]
-            py = self.points.positions[y]
-        else:
-            px, py = x, y
-        return float(np.linalg.norm(px - py))
+    def _place(self, x) -> int:
+        return self.points.index[self.check_point(x)]
+
+    def _rho(self, u, v) -> np.ndarray:
+        """The base metric of a lifted metric between coordinates, along the last axis."""
+        if self.metric.base == "discrete":
+            return np.where((u == v).all(axis=-1), 0.0, 1.0)
+        return euclidean_norms(u - v)
 
     def d(self, x, y) -> np.ndarray:
         """Cone-valued distance between two points."""
-        x = self.check_point(x)
-        y = self.check_point(y)
-        if isinstance(self.metric, LiftedMetric):
-            return self._rho(x, y) * self.metric.weight
-        if (x, y) in self.metric.entries:
-            return self.metric.entries[(x, y)].copy()
-        if (y, x) in self.metric.entries:
-            return self.metric.entries[(y, x)].copy()
-        if x == y:
-            return np.zeros(self.cone.space.dim)
-        raise ContractViolationError(f"metric table has no entry for ({x}, {y})")
+        if not self.is_finite:
+            return self._rho(self.check_point(x), self.check_point(y)) * self.metric.weight
+        i, j = self._place(x), self._place(y)
+        dist, known = self._distances()
+        if known is not None and not known[i, j]:
+            raise ContractViolationError(f"metric table has no entry for ({x}, {y})")
+        return dist[i, j].copy()
 
     def d_norm(self, x, y) -> float:
         """Ambient norm of the distance vector; the scalar the solver watches."""
+        if self.is_finite:
+            value = float(self._norm_values()[self._place(x), self._place(y)])
+            if math.isfinite(value):
+                return value
+        # a missing entry or a non-finite distance raises here
         return self.cone.space.norm(self.d(x, y))
+
+    def _pair_norms(self, points, a, b) -> np.ndarray:
+        """``d_norm(points[a[k]], points[b[k]])`` for every k, as one array.
+
+        Equal to the per-pair calls bit for bit.  Every point of ``points``
+        is checked first, in order; then a pair without a finite norm goes
+        through :meth:`d_norm`, so the first such pair raises what it raises.
+        """
+        a = np.asarray(a, dtype=np.intp)
+        b = np.asarray(b, dtype=np.intp)
+        if self.is_finite:
+            place = np.array([self._place(x) for x in points], dtype=np.intp)
+            values = self._norm_values()[place[a], place[b]]
+        else:
+            pts = np.array([self.check_point(x) for x in points])
+            values = self.cone.space.norms(self._rho(pts[a], pts[b])[:, None] * self.metric.weight)
+        for k in np.flatnonzero(~np.isfinite(values)):
+            values[k] = self.d_norm(points[a[k]], points[b[k]])
+        return values
 
     def points_equal(self, x, y, eps: float) -> bool:
         if self.is_finite:
@@ -228,13 +260,50 @@ class ConeMetricSpace:
         return self.d_norm(x, y) <= eps
 
     def distance_tensor(self) -> np.ndarray:
-        """Every distance of a finite space at once.
+        """Every distance of a finite space at once, read-only.
 
         ``D[i, j] = d(order[i], order[j])`` over the sorted labels, with the
-        same values (bit for bit) and the same missing-entry error as
-        :meth:`d`; for tables the error names the first missing pair in
-        canonical order.
+        same values (bit for bit) as :meth:`d`.  A table with a missing pair
+        raises the error of :meth:`d` for the first such pair in canonical
+        order.
         """
+        dist, known = self._distances()
+        if known is not None:
+            i, j = np.argwhere(~known)[0]
+            order = self.points.order
+            raise ContractViolationError(f"metric table has no entry for ({order[i]}, {order[j]})")
+        return dist
+
+    def norm_table(self) -> np.ndarray:
+        """Read-only ``(N, N)`` norms of :meth:`distance_tensor`; ``[i, j]`` is ``d_norm``."""
+        self.distance_tensor()
+        return self._norm_values()
+
+    def _norm_values(self) -> np.ndarray:
+        if self._norms is None:
+            dist, known = self._distances()
+            norms = self.cone.space.norms(dist)
+            if known is not None:
+                norms[~known] = np.nan
+            norms.flags.writeable = False
+            self._norms = norms
+        return self._norms
+
+    def _distances(self):
+        if self._dist is None:
+            n, p = len(self.points.order), self.cone.space.dim
+            if n * n * p > TABLE_MAX_ELEMENTS:
+                raise ContractViolationError(
+                    f"finite space of {n} points is too large for its distance table "
+                    f"({n}x{n}x{p} entries, limit {TABLE_MAX_ELEMENTS})"
+                )
+            dist, known = self._build_distances()
+            dist.flags.writeable = False
+            self._dist = dist, None if known is None or known.all() else known
+        return self._dist
+
+    def _build_distances(self):
+        """The distance tensor over the sorted labels and, for a table, its known-pair mask."""
         order = self.points.order
         n, p = len(order), self.cone.space.dim
         metric = self.metric
@@ -246,8 +315,8 @@ class ConeMetricSpace:
                 rho = np.empty((n, n))
                 step = max(1, CHUNK_ELEMENTS // (n * pos.shape[1]))
                 for lo in range(0, n, step):
-                    rho[lo : lo + step] = euclidean_norms(pos[lo : lo + step, None] - pos[None])
-            return rho[:, :, None] * metric.weight
+                    rho[lo : lo + step] = self._rho(pos[lo : lo + step, None], pos[None])
+            return rho[:, :, None] * metric.weight, None
         dist = np.zeros((n, n, p))
         known = np.eye(n, dtype=bool)
         if metric.entries:
@@ -259,10 +328,7 @@ class ConeMetricSpace:
             dist[cols, rows] = values
             dist[rows, cols] = values
             known[rows, cols] = known[cols, rows] = True
-        if not known.all():
-            i, j = np.argwhere(~known)[0]
-            raise ContractViolationError(f"metric table has no entry for ({order[i]}, {order[j]})")
-        return dist
+        return dist, known
 
     def image_indices(self, mapping) -> np.ndarray:
         """``t[i]`` is the place of ``T(order[i])`` in the sorted labels."""
@@ -591,12 +657,14 @@ def check_hypotheses(
             return _residual(space, mapping, quads[0 if len(quads) == 1 else i], x, y)
 
         residuals = np.array([residual_at(i) for i in range(n_pairs)])
-    finite = np.isfinite(residuals).all(axis=-1)
+    # whole-array tests first; the per-pair reductions only when one fails
+    finite = np.isfinite(residuals)
     if not finite.all():
-        x, y = pair_at(int(np.argmin(finite)))
+        x, y = pair_at(int(np.argmin(finite.all(axis=-1))))
         raise ContractViolationError(f"contraction residual at ({x}, {y}) has non-finite entries")
     products = _act(cone.facets, residuals)
-    failing = np.flatnonzero(~np.all(products >= -tol, axis=-1))
+    inside = products >= -tol
+    failing = np.flatnonzero(~inside.all(axis=-1)) if not inside.all() else np.empty(0, np.intp)
 
     # (sweep position, rank within the pair, witness); sorting restores the
     # order in which a pair-by-pair sweep meets them.

@@ -102,11 +102,21 @@ def _reject_constant(token):
     raise ProblemFileError(f"non-finite number {token} is not allowed", "document")
 
 
-def _matrix(value, dim, section):
+def _array(value, section, what="array"):
     try:
-        arr = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"not a numeric array: {exc}", section) from None
+        raise ProblemFileError(f"not a numeric {what}: {exc}", section) from None
+
+
+def _list(value, section):
+    if not isinstance(value, list):
+        raise ProblemFileError(f"expected a list, got {value!r}", section)
+    return value
+
+
+def _matrix(value, dim, section):
+    arr = _array(value, section)
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ProblemFileError(
             f"expected a rectangular array with rows of length {dim}, got shape {arr.shape}",
@@ -116,10 +126,7 @@ def _matrix(value, dim, section):
 
 
 def _vector(value, dim, section):
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"not a numeric vector: {exc}", section) from None
+    arr = _array(value, section, "vector")
     if arr.shape != (dim,):
         raise ProblemFileError(f"expected a vector of length {dim}, got shape {arr.shape}", section)
     return arr
@@ -132,7 +139,7 @@ def _parse_norm(value, dim, section):
         return NormedSpace(dim, value)
     if isinstance(value, dict):
         _require_keys(value, {"weighted"}, section)
-        weights = _vector(value["weighted"], dim, section)
+        weights = _vector(_get(value, "weighted", section), dim, section)
         return NormedSpace(dim, "weighted", tuple(weights.tolist()))
     raise ProblemFileError("norm must be a name or {\"weighted\": [...]}", section)
 
@@ -167,13 +174,18 @@ def _parse_space(doc, top_normal_constant):
         base = _get(metric_block, "base", msec)
         weight = _vector(_get(metric_block, "weight", msec), dim, f"{msec}.weight")
         if "labels" in metric_block:
-            labels = tuple(str(l) for l in metric_block["labels"])
+            labels = tuple(str(l) for l in _list(metric_block["labels"], f"{msec}.labels"))
             positions = None
             if "positions" in metric_block:
-                positions = {
-                    str(lbl): np.atleast_1d(np.asarray(v, dtype=float))
-                    for lbl, v in metric_block["positions"].items()
-                }
+                psec = f"{msec}.positions"
+                if not isinstance(metric_block["positions"], dict):
+                    raise ProblemFileError("expected an object of label coordinates", psec)
+                positions = {}
+                for lbl, v in metric_block["positions"].items():
+                    arr = np.atleast_1d(_array(v, f"{psec}.{lbl}", "vector"))
+                    if not np.all(np.isfinite(arr)):
+                        raise ProblemFileError("expected finite coordinates", f"{psec}.{lbl}")
+                    positions[str(lbl)] = arr
             points = FinitePoints(labels, positions)
         else:
             m = _number(_get(metric_block, "m", msec), f"{msec}.m", integer=True)
@@ -182,10 +194,9 @@ def _parse_space(doc, top_normal_constant):
             points = EuclideanPoints(m)
         metric = LiftedMetric(base, weight)
     elif kind == "table":
-        labels = _get(metric_block, "labels", msec)
-        entries_raw = _get(metric_block, "entries", msec)
+        labels = _list(_get(metric_block, "labels", msec), f"{msec}.labels")
         entries = {}
-        for item in entries_raw:
+        for item in _list(_get(metric_block, "entries", msec), f"{msec}.entries"):
             if not (isinstance(item, list) and len(item) == 3):
                 raise ProblemFileError("table entries must be [x, y, vector] triples", msec)
             a, b, vec = item
@@ -260,9 +271,8 @@ def _parse_coefficients(doc, space):
         )
         return ConstantCoefficients(*ops)
     if kind == "per_pair":
-        entries_raw = _get(block, "table", section)
         table = {}
-        for item in entries_raw:
+        for item in _list(_get(block, "table", section), f"{section}.table"):
             _require_keys(item, COEFF_ENTRY_KEYS, f"{section}.table")
             x = str(_get(item, "x", f"{section}.table"))
             y = str(_get(item, "y", f"{section}.table"))
@@ -312,7 +322,7 @@ def _parse_check(doc):
     source = _get(block, "pair_source", section, required=False, default="all")
     if isinstance(source, dict):
         _require_keys(source, PAIR_SOURCE_KEYS, f"{section}.pair_source")
-        sampled = source["sampled"]
+        sampled = _get(source, "sampled", f"{section}.pair_source")
         _require_keys(sampled, SAMPLED_KEYS, f"{section}.pair_source.sampled")
         ssec = f"{section}.pair_source.sampled"
         n = _number(_get(sampled, "n", ssec), f"{ssec}.n", integer=True)

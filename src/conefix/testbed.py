@@ -263,7 +263,7 @@ def _random_cone_weight(rng, cone: PolyhedralCone) -> np.ndarray:
 
 def _lipschitz_factor(space: ConeMetricSpace, mapping: TableMapping) -> float:
     """Exact worst-case stretch of the mapping over all distinct pairs."""
-    norms = space.cone.space.norms(space.distance_tensor())
+    norms = space.norm_table()
     t = space.image_indices(mapping)
     moved = (norms != 0.0) & ~np.eye(t.size, dtype=bool)
     return float(np.max(norms[np.ix_(t, t)][moved] / norms[moved], initial=0.0))

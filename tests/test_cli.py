@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -59,6 +62,38 @@ BAD_NUMBERS = [
 ]
 
 
+def per_pair_doc():
+    """A table metric with per-pair coefficients, the shapes no shipped problem has."""
+    ops = {"A1": [[0.3]], "A2": [[0.1]], "A3": [[0.1]], "A4": [[0.05]]}
+    return {
+        "space": {
+            "dim": 1,
+            "norm": "two",
+            "cone": {"generators": [[1.0]], "facets": [[1.0]]},
+            "metric": {"kind": "table", "labels": ["a", "b"], "entries": [["a", "b", [1.0]]]},
+        },
+        "mapping": {"kind": "table", "table": {"a": "a", "b": "a"}},
+        "coefficients": {
+            "kind": "per_pair",
+            "table": [{"x": x, "y": y, **ops} for x in "ab" for y in "ab"],
+        },
+        "solve": {"x0": "b", "eps": 1e-8},
+    }
+
+
+# (problem, path to a key, value put there, section the error names)
+BAD_STRUCTURE = [
+    ("finite_ladder", ("space", "metric", "positions", "p03"), ["abc"], "space.metric.positions.p03"),
+    ("finite_ladder", ("space", "metric", "positions"), [[0.0]], "space.metric.positions"),
+    ("finite_ladder", ("space", "metric", "labels"), 5, "space.metric.labels"),
+    ("finite_ladder", ("space", "norm"), {}, "space.norm"),
+    ("finite_ladder", ("check",), {"pair_source": {}}, "check.pair_source"),
+    ("per_pair", ("coefficients", "table"), 5, "coefficients.table"),
+    ("per_pair", ("space", "metric", "entries"), 5, "space.metric.entries"),
+    ("per_pair", ("space", "metric", "labels"), None, "space.metric.labels"),
+]
+
+
 class TestExitCodes:
     def test_validate_ok(self):
         code, out = run_cli(["validate", str(PROBLEMS / "banach_scalar.json")])
@@ -110,6 +145,39 @@ class TestExitCodes:
         assert code == 2
         assert "exit_status=input-error" in out
         assert "\nerror=" in out
+
+    @pytest.mark.parametrize(
+        "problem,keys,value,section",
+        BAD_STRUCTURE,
+        ids=[f"{p}:{'.'.join(k)}={json.dumps(v)}" for p, k, v, _ in BAD_STRUCTURE],
+    )
+    def test_bad_structure_is_input_error(self, tmp_path, problem, keys, value, section):
+        if problem == "per_pair":
+            doc = per_pair_doc()
+        else:
+            doc = json.loads((PROBLEMS / f"{problem}.json").read_text())
+        block = doc
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = value
+        path = write_problem(tmp_path, doc)
+        for argv in (["check"], ["solve", "--audit-gap", "3"], ["validate"]):
+            code, out = run_cli([argv[0], path, "--output", "machine", *argv[1:]])
+            assert code == 2
+            assert f"\nerror={section}:" in out
+
+    def test_per_pair_table_problem_solves(self, tmp_path):
+        path = write_problem(tmp_path, per_pair_doc())
+        code, out = run_cli(["solve", path, "--audit-gap", "3", "--output", "machine"])
+        assert code == 0
+        assert "point=a" in out
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_usage_error(self, seed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(PROBLEMS / "banach_scalar.json"), "--seed", seed])
+        assert exc.value.code == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
     def test_check_ok(self):
         code, out = run_cli(["check", str(PROBLEMS / "finite_ladder.json"), "--output", "machine"])
@@ -297,6 +365,19 @@ class TestDeterminismAndGolden:
         assert code1 == code2 == 0
         assert out1 == out2
         assert out1 == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_matches_golden(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+        argv = ["check", "problems/banach_scalar.json", "--output", "machine"]
+        run = subprocess.run(
+            [sys.executable, "-m", "conefix", *argv],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == (GOLDEN_DIR / "check_banach_scalar.txt").read_text(encoding="utf-8")
 
 
 class TestSolveExtras:

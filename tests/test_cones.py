@@ -210,6 +210,25 @@ class TestConstruction:
         with pytest.raises(ContractViolationError):
             NormedSpace(2, "weighted", (1.0, 0.0))
 
+    @pytest.mark.parametrize("kind", ["one", "two", "infinity", "weighted"])
+    @pytest.mark.parametrize("dim", [1, 3, 9])
+    def test_stacked_norms_match_per_vector_reference(self, kind, dim, rng):
+        weights = tuple(rng.uniform(0.1, 3.0, dim)) if kind == "weighted" else None
+        space = NormedSpace(dim, kind, weights)
+        scale = 10.0 ** rng.uniform(-8, 8, (5, 7, dim))
+        stack = rng.normal(size=(5, 7, dim)) * scale
+        stack[0, 0] = 0.0
+        stack[1, 2, 0] = np.nan
+        reference = {
+            "one": lambda v: np.sum(np.abs(v)),
+            "two": np.linalg.norm,
+            "infinity": lambda v: np.max(np.abs(v)),
+            "weighted": lambda v: np.max(np.asarray(weights) * np.abs(v)),
+        }[kind]
+        expected = np.array([[reference(v) for v in row] for row in stack])
+        assert space.norms(stack).tobytes() == expected.tobytes()
+        assert space.norm(stack[3, 4]) == expected[3, 4]
+
 
 @settings(max_examples=40, derandomize=True)
 @given(

@@ -1,11 +1,15 @@
 """Array sweeps against their per-pair and per-triple references.
 
-The exhaustive hypothesis sweep and the finite metric-axiom sweep work on
-the whole distance tensor at once.  Their references here go pair by pair
-(through the public single-pair ``contraction_residual``) and triple by
-triple, the way the sweeps were first written, and every field of the
-reports must agree exactly.
+The exhaustive hypothesis sweep, the finite metric-axiom sweep, the
+distance lookups of a finite space and the bound audit work on whole
+arrays at once.  Their references here go pair by pair (through the public
+single-pair ``contraction_residual``) and triple by triple, the way they
+were first written, and every field of the results must agree exactly.
 """
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from conefix import (
     ConstantCoefficients,
     ContractViolationError,
     FinitePoints,
+    IterationTrace,
     LiftedMetric,
     LinearOperator,
     NormedSpace,
@@ -28,16 +33,21 @@ from conefix import (
     check_metric_axioms,
     cone_contains,
     contraction_residual,
+    generate_certified_instance,
     invariance_check,
     make_lifted_space,
     normal_constant_lower_bound,
     operator_norm,
     orthant,
+    picard_solve,
     resolvent,
     s_operator,
     skewed_cone_2d,
+    verify_proof_bounds,
 )
+from conefix import cli, contraction, solver
 from conefix.contraction import MAX_WITNESSES
+from conefix.solver import BOUND_AUDIT_RTOL, tail_bound
 
 TOL = 1e-9
 
@@ -441,3 +451,292 @@ def test_batched_normal_constant_bound_matches_loop(make, seed):
     cone = make()
     expected = reference_normal_constant_bound(cone, seed=seed)
     assert normal_constant_lower_bound(cone, seed=seed) == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# The distance table of a finite space and the bound audit
+# ---------------------------------------------------------------------------
+
+
+def reference_d(space, x, y):
+    """``d(x, y)`` computed from the metric alone, without the space's tables."""
+    metric = space.metric
+    if isinstance(metric, LiftedMetric):
+        if metric.base == "discrete":
+            same = x == y if space.is_finite else np.array_equal(x, y)
+            rho = 0.0 if same else 1.0
+        else:
+            if space.is_finite:
+                x, y = space.points.positions[x], space.points.positions[y]
+            rho = float(np.linalg.norm(x - y))
+        return rho * metric.weight
+    for key in ((x, y), (y, x)):
+        if key in metric.entries:
+            return metric.entries[key].copy()
+    if x == y:
+        return np.zeros(space.cone.space.dim)
+    raise ContractViolationError(f"metric table has no entry for ({x}, {y})")
+
+
+def outcome(fn, *args):
+    """The bits of a result, or the error it raised, so outcomes compare with ==."""
+    try:
+        return np.asarray(fn(*args), dtype=float).tobytes()
+    except ContractViolationError as exc:
+        return str(exc)
+
+
+TABLE_CONES = {
+    **CONES,
+    "orthant9_one": lambda: orthant(NormedSpace(9, "one")),
+    "orthant3_weighted": lambda: orthant(NormedSpace(3, "weighted", (0.5, 2.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "discrete", "table"])
+@pytest.mark.parametrize("cone_name", sorted(TABLE_CONES))
+def test_distance_lookups_match_per_pair_reference(metric, cone_name):
+    missing = 0
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        space = random_space(rng, TABLE_CONES[cone_name](), metric, int(rng.integers(2, 8)))
+        if metric == "table" and seed % 2:
+            # drop some entries, so that some pairs have none either way round
+            entries = {key: v for key, v in space.metric.entries.items() if rng.uniform() < 0.6}
+            space = ConeMetricSpace(space.cone, FinitePoints(space.labels), TableMetric(entries))
+        norm = space.cone.space.norm
+        labels = sorted(space.labels)
+        # lookups in a scrambled order, so the tables are built mid-way
+        pairs = [(x, y) for x in labels for y in labels]
+        for i in rng.permutation(len(pairs)):
+            x, y = pairs[i]
+            expected = outcome(reference_d, space, x, y)
+            assert outcome(space.d, x, y) == expected, (seed, x, y)
+            assert outcome(space.d_norm, x, y) == outcome(lambda: norm(reference_d(space, x, y)))
+            missing += isinstance(expected, str)
+    if metric == "table":
+        assert missing > 0
+
+
+@pytest.mark.parametrize("base", ["euclidean", "discrete"])
+@pytest.mark.parametrize("cone_name", sorted(TABLE_CONES))
+def test_euclidean_domain_lookups_match_per_pair_reference(base, cone_name):
+    rng = np.random.default_rng(len(cone_name))
+    cone = TABLE_CONES[cone_name]()
+    weight = rng.uniform(0.2, 2.0, cone.generators.shape[0]) @ cone.generators
+    space = make_lifted_space(3, cone, weight, base=base)
+    points = list(rng.uniform(-5.0, 5.0, (6, 3)))
+    points[4] = points[1].copy()  # a repeated point
+    points[5] = points[2] + [0.0, 0.0, 1e-12]  # a point one coordinate away
+    norm = space.cone.space.norm
+    a, b = (ix.ravel() for ix in np.indices((len(points), len(points))))
+    expected = [norm(reference_d(space, points[i], points[j])) for i, j in zip(a, b)]
+    for i, j, value in zip(a, b, expected):
+        x, y = points[i], points[j]
+        assert outcome(space.d, x, y) == outcome(reference_d, space, x, y)
+        assert outcome(space.d_norm, x, y) == np.float64(value).tobytes()
+    assert space._pair_norms(points, a, b).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_non_finite_distances_raise_like_reference(orthant2_two):
+    labels = ("a", "b", "c")
+    huge = {("a", "b"): [1e200, 1e200], ("a", "c"): [np.inf, 1.0], ("b", "c"): [1.0, 1.0]}
+    space = ConeMetricSpace(orthant2_two, FinitePoints(labels), TableMetric(huge))
+    assert space.d_norm("a", "b") == np.inf  # a finite vector whose norm overflows
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        space.d_norm("c", "a")
+    assert space.d_norm("b", "c") == orthant2_two.space.norm([1.0, 1.0])
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        space._pair_norms(["a", "b", "c"], [0, 1, 2], [1, 2, 0])
+
+
+def test_cached_tables_are_read_only(orthant3_inf):
+    space = random_space(np.random.default_rng(4), orthant3_inf, "euclidean", 5)
+    dist, norms = space.distance_tensor(), space.norm_table()
+    for table in (dist, norms):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+    assert space.distance_tensor() is dist and space.norm_table() is norms
+    x, y = sorted(space.labels)[:2]
+    vector = space.d(x, y)
+    vector[:] = -1.0  # a caller's copy, not the table
+    assert np.array_equal(space.d(x, y), dist[0, 1])
+    assert norms.shape == dist.shape[:2]
+
+
+class TestMissingTableEntries:
+    def space(self, cone):
+        # c is known only to itself; (a, b) is given one way round
+        entries = {("a", "b"): np.array([1.0, 2.0])}
+        return ConeMetricSpace(cone, FinitePoints(("c", "b", "a")), TableMetric(entries))
+
+    def test_lookups_name_the_pair_asked_for(self, orthant2_inf):
+        space = self.space(orthant2_inf)
+        assert space.d_norm("b", "a") == 2.0
+        assert np.array_equal(space.d("b", "a"), [1.0, 2.0])
+        for x, y in (("c", "a"), ("a", "c"), ("b", "c")):
+            for lookup in (space.d, space.d_norm):
+                with pytest.raises(ContractViolationError, match=rf"no entry for \({x}, {y}\)$"):
+                    lookup(x, y)
+        with pytest.raises(ContractViolationError, match=r"no entry for \(c, b\)$"):
+            space._pair_norms(["a", "b", "c"], [0, 1, 2, 2], [1, 0, 1, 0])
+
+    def test_whole_table_names_first_missing_pair(self, orthant2_inf):
+        space = self.space(orthant2_inf)
+        space.d_norm("a", "b")  # the tables exist before the whole-table call
+        for whole in (space.distance_tensor, space.norm_table):
+            with pytest.raises(ContractViolationError, match=r"no entry for \(a, c\)$"):
+                whole()
+
+    def test_solve_on_known_entries_succeeds(self, orthant2_inf):
+        space = self.space(orthant2_inf)
+        mapping = TableMapping({"a": "a", "b": "a", "c": "a"})
+        result = picard_solve(space, mapping, 1.0, 0.5, "b", 1e-9)
+        assert result.point == "a"
+        assert verify_proof_bounds(space, result.trace, 1.0, 0.5).passed
+        with pytest.raises(ContractViolationError, match=r"no entry for \(c, a\)$"):
+            picard_solve(space, mapping, 1.0, 0.5, "c", 1e-9)
+
+
+class TestTableLimit:
+    """A finite space whose distance table would exceed the limit is refused."""
+
+    def test_oversized_space_is_refused(self, orthant3_inf, monkeypatch):
+        inst = generate_certified_instance(3, 4, orthant3_inf)  # 4 x 4 x 3 = 48 entries
+        x, y = sorted(inst.space.labels)[:2]
+        pieces = inst.mapping, inst.coeffs
+        calls = [
+            lambda space: space.d(x, y),
+            lambda space: space.d_norm(x, y),
+            lambda space: space.distance_tensor(),
+            lambda space: check_hypotheses(space, *pieces, pair_source=("sampled", 5, 0)),
+            lambda space: check_hypotheses(space, *pieces),
+        ]
+        for limit in (47, 48):
+            monkeypatch.setattr(contraction, "TABLE_MAX_ELEMENTS", limit)
+            for call in calls:
+                # a space that has not built its tables yet
+                space = ConeMetricSpace(inst.space.cone, inst.space.points, inst.space.metric)
+                if limit == 47:
+                    with pytest.raises(ContractViolationError, match=r"too large .*\(4x4x3 "):
+                        call(space)
+                else:
+                    call(space)
+                    assert np.array_equal(space.d(x, y), reference_d(space, x, y))
+
+    def test_cli_exits_2(self, monkeypatch):
+        monkeypatch.setattr(contraction, "TABLE_MAX_ELEMENTS", 1)
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        for argv in (["check"], ["solve"], ["validate"]):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = cli.main([*argv, "problems/finite_ladder.json", "--output", "machine"])
+            assert code == 2
+            assert "too large for its distance table" in out.getvalue()
+
+
+def reference_audit(space, trace, k, beta, max_gap=10):
+    """The per-pair audit loop: check counts and every violation as a tuple."""
+    if len(trace.points) < 2:
+        return 0, 0, []
+    norm = space.cone.space.norm
+    d01 = trace.step_norms[0]
+    slack = 1.0 + BOUND_AUDIT_RTOL
+    steps, gaps, violations = 0, 0, []
+    for n, step in enumerate(trace.step_norms):
+        steps += 1
+        rhs = k * beta**n * d01
+        if step > rhs * slack:
+            violations.append(("step", n, 1, step, rhs))
+    last = len(trace.points) - 1
+    for n in range(last):
+        for p in range(1, min(max_gap, last - n) + 1):
+            gaps += 1
+            lhs = norm(reference_d(space, trace.points[n], trace.points[n + p]))
+            rhs = tail_bound(k, beta, d01, n)
+            if lhs > rhs * slack:
+                violations.append(("gap", n, p, lhs, rhs))
+    return steps, gaps, violations
+
+
+def audit_fields(audit):
+    violations = [(v.kind, v.n, v.p, v.lhs, v.rhs) for v in audit.violations]
+    assert all(type(v.n) is int and type(v.lhs) is float for v in audit.violations)
+    return audit.step_checks, audit.gap_checks, violations
+
+
+def finite_traces():
+    for seed in range(6):
+        cone = list(CONES.values())[seed % len(CONES)]()
+        inst = generate_certified_instance(seed, 4 + seed, cone)
+        beta = inst.certification.beta
+        (fixed,) = [x for x, y in inst.mapping.table.items() if x == y]
+        start = max(sorted(inst.space.labels), key=lambda x: inst.space.d_norm(x, fixed))
+        trace = picard_solve(inst.space, inst.mapping, None, beta, start, 1e-12).trace
+        yield inst.space, trace, inst.k, beta
+    # a wandering trace over a discrete space, revisiting points
+    cone = orthant(NormedSpace(2, "one"))
+    space = random_space(np.random.default_rng(9), cone, "discrete", 4)
+    points = [sorted(space.labels)[i] for i in (3, 1, 3, 0, 0, 2, 1, 1, 0)]
+    steps = [space.d_norm(x, y) for x, y in zip(points, points[1:])]
+    yield space, IterationTrace(points, steps), 1.0, 0.6
+
+
+def euclidean_traces():
+    for seed, base in enumerate(("euclidean", "discrete", "euclidean")):
+        rng = np.random.default_rng(seed)
+        cone = list(CONES.values())[seed % len(CONES)]()
+        m = 2
+        w = rng.uniform(0.2, 2.0, cone.generators.shape[0]) @ cone.generators
+        space = make_lifted_space(m, cone, w, base=base)
+        mapping = AffineMapping(0.4 * np.linalg.qr(rng.normal(size=(m, m)))[0], rng.uniform(-1, 1, m))
+        points = [rng.uniform(-5.0, 5.0, m)]
+        for _ in range(30):
+            points.append(mapping.apply(space, points[-1]))
+        points[7:7] = [points[6]]  # a repeated point: a zero step
+        steps = [space.d_norm(x, y) for x, y in zip(points, points[1:])]
+        yield space, IterationTrace(points, steps), 1.0, 0.45
+
+
+@pytest.mark.parametrize("domain", ["finite", "euclidean"])
+def test_audit_matches_per_pair_reference(domain, monkeypatch):
+    traces = finite_traces() if domain == "finite" else euclidean_traces()
+    failing = 0
+    for space, trace, k, beta in traces:
+        for audit_beta in (beta, 0.3 * beta):  # the second is too small
+            for max_gap in (0, 1, 3, 10, 50):
+                expected = reference_audit(space, trace, k, audit_beta, max_gap)
+                got = verify_proof_bounds(space, trace, k, audit_beta, max_gap=max_gap)
+                assert audit_fields(got) == expected
+                failing += bool(expected[2])
+            # blocks of rows smaller than the trace still list gaps in (n, p) order
+            monkeypatch.setattr(solver, "AUDIT_BLOCK_PAIRS", 7)
+            expected = reference_audit(space, trace, k, audit_beta, 4)
+            assert audit_fields(verify_proof_bounds(space, trace, k, audit_beta, max_gap=4)) == expected
+            monkeypatch.undo()
+    assert failing > 0
+
+
+def test_distance_tensor_built_once_per_space(monkeypatch):
+    built = []
+    build = ConeMetricSpace._build_distances
+
+    def counting(space):
+        built.append(space)
+        return build(space)
+
+    monkeypatch.setattr(ConeMetricSpace, "_build_distances", counting)
+    argv = ["solve", "problems/finite_ladder.json", "--audit-gap", "10", "--output", "machine"]
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0  # check, solve and audit
+    assert len(built) == 1
+
+    built.clear()
+    inst = generate_certified_instance(7, 9, orthant(NormedSpace(3, "infinity")))
+    result = picard_solve(inst.space, inst.mapping, None, inst.certification.beta, "p00", 1e-10)
+    verify_proof_bounds(inst.space, result.trace, inst.k, inst.certification.beta)
+    assert inst.space in built
+    assert len(built) == len(set(map(id, built)))
