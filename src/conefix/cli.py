@@ -232,15 +232,6 @@ def cmd_solve(args):
 
 
 def cmd_probe(args):
-    if args.k is None or args.alpha_min is None or args.alpha_max is None:
-        raise ProblemFileError("probe needs --k, --alpha-min and --alpha-max", "probe")
-    if args.k <= 1.0:
-        raise ProblemFileError("probe regime needs k > 1", "probe")
-    if args.alpha_min < 1.0 / args.k or args.alpha_max >= 1.0:
-        raise ProblemFileError(
-            f"[--alpha-min, --alpha-max] must lie inside [1/k, 1) = [{1.0 / args.k:.17g}, 1)",
-            "probe",
-        )
     report = probe_open_problem(
         seed=args.seed,
         k=args.k,
@@ -282,22 +273,23 @@ def cmd_probe(args):
 COMMANDS = {"validate": cmd_validate, "check": cmd_check, "solve": cmd_solve, "probe": cmd_probe}
 
 
-def _seed(text: str) -> int:
-    # numpy's generators refuse negative seeds
+def _nonnegative(name: str, text: str) -> int:
+    """The argparse type of the option ``name``, bound with functools.partial."""
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
-    return seed
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{name} must be a nonnegative integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_MEMBERSHIP_TOL,
                         help="membership tolerance on facet inner products")
-    common.add_argument("--seed", type=_seed, default=0,
+    # numpy's generators refuse negative seeds
+    common.add_argument("--seed", type=functools.partial(_nonnegative, "seed"), default=0,
                         help="nonnegative seed for sampled checks and probes")
     common.add_argument("--output", choices=("human", "machine"), default="human")
     parser = argparse.ArgumentParser(
@@ -331,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--k", type=float, required=True)
     p_probe.add_argument("--alpha-min", type=float, required=True)
     p_probe.add_argument("--alpha-max", type=float, required=True)
-    p_probe.add_argument("--instances", type=int, default=10)
+    p_probe.add_argument("--instances", type=functools.partial(_nonnegative, "instances"), default=10)
     p_probe.add_argument("--eps", type=float, default=1e-8)
     return parser
 

@@ -98,6 +98,8 @@ def a_priori_iterations(k: float, beta: float, d01_norm: float, eps: float) -> i
         raise HypothesisFailureError("i2", f"beta = {beta:.17g} is not below 1; no tail bound exists")
     if d01_norm < 0.0:
         raise ContractViolationError("d01_norm must be nonnegative")
+    if not math.isfinite(d01_norm):
+        raise NumericError(f"|d(x0, x1)| = {d01_norm} is not finite; no tail bound exists")
     if eps <= 0.0:
         raise ContractViolationError("eps must be positive")
     if d01_norm == 0.0:
@@ -106,7 +108,8 @@ def a_priori_iterations(k: float, beta: float, d01_norm: float, eps: float) -> i
         return 0
     if beta == 0.0:
         return 1
-    est = math.log(eps * (1.0 - beta) / (k * k * d01_norm)) / math.log(beta)
+    # in logs, so that k^2 |d(x0, x1)| may overflow and eps (1 - beta) / ... may underflow
+    est = (math.log(eps) + math.log1p(-beta) - 2.0 * math.log(k) - math.log(d01_norm)) / math.log(beta)
     n = max(1, int(math.ceil(est)))
     while n > 0 and tail_bound(k, beta, d01_norm, n - 1) <= eps:
         n -= 1
@@ -364,13 +367,18 @@ def probe_open_problem(
     built so the remaining certifying conditions (composite norm below 1,
     the invariance conditions, the certified resolvent) all hold while the
     coefficient norm sum lands in the requested range.  Deterministic given
-    the seed; an empty range or zero instances yields an empty report.
+    the seed.  The range is checked first; then an empty range or zero
+    instances yields an empty report.
     """
     from . import testbed  # local import; testbed builds on this module
 
     k = float(k)
     if k <= 1.0:
         raise ContractViolationError("the probe regime needs k > 1")
+    if alpha_min < 1.0 / k or alpha_max >= 1.0:
+        raise ContractViolationError(
+            f"probe range [{alpha_min}, {alpha_max}] must lie inside [1/k, 1) = [{1.0 / k}, 1)"
+        )
     report = ProbeReport(
         k=k,
         alpha_min=float(alpha_min),
@@ -381,10 +389,6 @@ def probe_open_problem(
     )
     if alpha_min > alpha_max or n_instances == 0:
         return report
-    if alpha_min < 1.0 / k or alpha_max >= 1.0:
-        raise ContractViolationError(
-            f"probe range [{alpha_min}, {alpha_max}] must lie inside [1/k, 1) = [{1.0 / k}, 1)"
-        )
 
     from .errors import GenerationError
 

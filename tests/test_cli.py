@@ -91,6 +91,15 @@ BAD_STRUCTURE = [
     ("per_pair", ("coefficients", "table"), 5, "coefficients.table"),
     ("per_pair", ("space", "metric", "entries"), 5, "space.metric.entries"),
     ("per_pair", ("space", "metric", "labels"), None, "space.metric.labels"),
+    # keys that belong to another kind of the same section
+    ("finite_ladder", ("space", "metric", "m"), 7, "space.metric"),
+    ("finite_ladder", ("space", "metric", "entries"), [], "space.metric"),
+    ("banach_scalar", ("space", "metric", "positions"), {}, "space.metric"),
+    ("per_pair", ("space", "metric", "weight"), [1.0], "space.metric"),
+    ("finite_ladder", ("mapping", "B"), "junk", "mapping"),
+    ("banach_scalar", ("mapping", "table"), {}, "mapping"),
+    ("finite_ladder", ("coefficients", "table"), "junk", "coefficients"),
+    ("per_pair", ("coefficients", "A1"), [[0.3]], "coefficients"),
 ]
 
 
@@ -178,6 +187,33 @@ class TestExitCodes:
             main(["check", str(PROBLEMS / "banach_scalar.json"), "--seed", seed])
         assert exc.value.code == 2
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+    def test_negative_instances_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["probe", "--k", "2", "--alpha-min", "0.5", "--alpha-max", "0.9", "--instances", "-3"])
+        assert exc.value.code == 2
+        assert "instances must be a nonnegative integer" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_start_step_is_input_error(self, tmp_path):
+        # |d(a, b)| of [1e200, 1e200] overflows the two-norm, so no iteration count bounds the tail
+        eye, zero = [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]
+        doc = {
+            "space": {
+                "dim": 2,
+                "norm": "two",
+                "cone": {"generators": eye, "facets": eye},
+                "metric": {"kind": "table", "labels": ["a", "b"], "entries": [["a", "b", [1e200, 1e200]]]},
+            },
+            "mapping": {"kind": "table", "table": {"a": "a", "b": "a"}},
+            "coefficients": {"kind": "constant", "A1": [[0.5, 0.0], [0.0, 0.5]], "A2": zero, "A3": zero, "A4": zero},
+            "solve": {"x0": "b", "eps": 1e-8},
+        }
+        path = write_problem(tmp_path, doc)
+        assert run_cli(["check", path])[0] == 0
+        code, out = run_cli(["solve", path, "--output", "machine"])
+        assert code == 2
+        assert "\nerror=" in out and "not finite" in out
 
     def test_check_ok(self):
         code, out = run_cli(["check", str(PROBLEMS / "finite_ladder.json"), "--output", "machine"])

@@ -91,6 +91,16 @@ class TestParsing:
         problem = parse(doc)
         assert problem.coeffs.at("a", "b")[0].matrix[0, 0] == 0.5
 
+    def test_null_optional_number_is_left_out(self):
+        doc = base_doc()
+        doc["solve"].update(beta=None, max_iter=None)
+        doc["check"].update(tol=None, alpha=None)
+        doc["normal_constant"] = None
+        problem = parse(doc)
+        assert problem.solve.beta is None and problem.solve.max_iter is None
+        assert problem.check.tol is None and problem.check.alpha is None
+        assert problem.space.cone.normal_constant == 1.0
+
     def test_top_level_normal_constant_overrides(self):
         doc = base_doc()
         doc["normal_constant"] = 2.0
@@ -153,6 +163,65 @@ class TestStrictness:
         doc = base_doc()
         doc["space"]["metric"]["positions"] = {"a": [0.0], "b": b}
         with pytest.raises(ConefixError, match="one common dimension"):
+            parse(doc)
+
+    def test_non_finite_position_names_its_label(self):
+        doc = base_doc()
+        doc["space"]["metric"]["positions"]["b"] = ["@@"]
+        with pytest.raises(ProblemFileError, match=r"space\.metric\.positions\.b: expected finite"):
+            parse_problem_text(json.dumps(doc).replace('"@@"', "1e400"))
+
+    def test_scalar_positions_are_one_coordinate(self):
+        doc = base_doc()
+        doc["space"]["metric"]["positions"] = {"a": 0.0, "b": 1.0}
+        assert np.array_equal(parse(doc).space.d("a", "b"), parse(base_doc()).space.d("a", "b"))
+
+    @pytest.mark.parametrize("keys", [("space", "dim"), ("space", "metric", "m")])
+    def test_sizes_must_be_positive(self, keys):
+        doc = base_doc()
+        doc["space"]["metric"] = {"kind": "lifted", "base": "euclidean", "weight": [1.0, 1.0], "m": 1}
+        del doc["mapping"], doc["solve"]
+        block = doc
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = 0
+        with pytest.raises(ProblemFileError, match="positive"):
+            parse(doc)
+
+    def test_matrix_must_be_two_dimensional(self):
+        doc = base_doc()
+        doc["space"]["metric"] = {"kind": "lifted", "base": "euclidean", "weight": [1.0, 1.0], "m": 1}
+        doc["mapping"] = {"kind": "affine", "B": [0.5], "c": [1.0]}
+        doc["solve"] = {"x0": [0.0], "eps": 1e-8}
+        with pytest.raises(ProblemFileError, match=r"mapping\.B: expected an array of shape 1x1"):
+            parse(doc)
+
+    @pytest.mark.parametrize(
+        "add,remove,message",
+        [({"m": 1}, (), r"unknown key\(s\) \['m'\]"), ({}, ("labels", "positions"), "missing required key 'm'")],
+        ids=["labels-and-m", "neither"],
+    )
+    def test_lifted_metric_form_follows_labels(self, add, remove, message):
+        # a lifted metric with labels is over those labels, else over R^m
+        doc = base_doc()
+        metric = doc["space"]["metric"]
+        metric.update(add)
+        for key in remove:
+            del metric[key]
+        with pytest.raises(ProblemFileError, match=message):
+            parse(doc)
+
+    @pytest.mark.parametrize("entry", [["a", "b"], "ab", ["a", "b", [1.0, 1.0], 0]])
+    def test_metric_entries_must_be_triples(self, entry):
+        doc = base_doc()
+        doc["space"]["metric"] = {"kind": "table", "labels": ["a", "b"], "entries": [entry]}
+        with pytest.raises(ProblemFileError, match=r"space\.metric\.entries\.0: table entries must be"):
+            parse(doc)
+
+    def test_affine_mapping_needs_euclidean_domain(self):
+        doc = base_doc()
+        doc["mapping"] = {"kind": "affine", "B": [[0.5]], "c": [1.0]}
+        with pytest.raises(ProblemFileError, match="euclidean point domain"):
             parse(doc)
 
     def test_normal_constant_below_one_rejected(self):

@@ -1,6 +1,7 @@
 """Iteration counts, the solver, bound audits, uniqueness, and the probe."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conefix import (
     IterationTrace,
     NonConvergenceError,
     NormedSpace,
+    NumericError,
     ProbeReport,
     TableMapping,
     a_priori_iterations,
@@ -63,6 +65,25 @@ class TestAPrioriIterations:
         assert tail_bound(k, beta, d01, n) <= eps
         if n > 0:
             assert tail_bound(k, beta, d01, n - 1) > eps
+
+    @pytest.mark.parametrize("d01", [math.inf, math.nan])
+    def test_non_finite_start_step_rejected(self, d01):
+        with pytest.raises(NumericError, match="not finite"):
+            a_priori_iterations(1.0, 0.5, d01, 1e-8)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(
+        k=st.floats(1.0, 100.0),
+        beta=st.floats(0.001, 0.99),
+        d01=st.floats(1e-300, 1e308),
+        eps=st.floats(1e-300, 1.0),
+    )
+    def test_extreme_magnitudes_are_minimal(self, k, beta, d01, eps):
+        # k^2 d01 may overflow and eps (1 - beta) / (k^2 d01) underflow to zero
+        n = a_priori_iterations(k, beta, d01, eps)
+        assert tail_bound(k, beta, d01, n) <= eps
+        if n > 0:
+            assert not tail_bound(k, beta, d01, n - 1) <= eps
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(
@@ -215,6 +236,11 @@ class TestProbeOpenProblem:
     def test_range_outside_regime_rejected(self):
         with pytest.raises(ContractViolationError):
             probe_open_problem(1, 2.0, 0.2, 0.9, 2)
+
+    @pytest.mark.parametrize("alpha_min,alpha_max,n", [(0.2, 0.9, 0), (0.3, 0.2, 3), (0.6, 1.0, 0)])
+    def test_range_checked_before_empty_shortcut(self, alpha_min, alpha_max, n):
+        with pytest.raises(ContractViolationError, match="must lie inside"):
+            probe_open_problem(1, 2.0, alpha_min, alpha_max, n)
 
     def test_instance_in_range_converges(self):
         # sums at or above 1/k with the composite norm below 1 still converge
