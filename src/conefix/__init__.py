@@ -7,7 +7,6 @@ from .cones import (
     ValidationReport,
     check_declared_normal_constant,
     cone_contains,
-    leq,
     normal_constant_lower_bound,
     orthant,
     strictly_interior,
@@ -44,7 +43,6 @@ from .errors import (
 )
 from .linops import (
     LinearOperator,
-    apply,
     induced_norm,
     invariance_check,
     operator_norm,

@@ -177,13 +177,6 @@ def cone_members(
     return np.all((cone.facets @ arr[..., None])[..., 0] >= -tol, axis=-1)
 
 
-def leq(cone: PolyhedralCone, x, y, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-    """Order comparison induced by the cone: x <= y iff y - x lies in the cone."""
-    xa = cone.space.as_vector(x)
-    ya = cone.space.as_vector(y)
-    return cone_contains(cone, ya - xa, tol)
-
-
 def strictly_interior(cone: PolyhedralCone, v, margin: float) -> bool:
     """Decidable stand-in for interior membership.
 

@@ -34,8 +34,8 @@ from .cones import (
     cone_members,
     euclidean_norms,
 )
-from .errors import ConefixError, ContractViolationError
-from .linops import LinearOperator, invariance_check, operator_norm, resolvent
+from .errors import ContractViolationError
+from .linops import LinearOperator, induced_norm, invariance_check, resolvent_stack
 
 CONDITIONS = ("i1", "i2", "i3", "hb", "i4", "i5", "contraction")
 
@@ -254,11 +254,6 @@ class ConeMetricSpace:
             values[k] = self.d_norm(points[a[k]], points[b[k]])
         return values
 
-    def points_equal(self, x, y, eps: float) -> bool:
-        if self.is_finite:
-            return x == y
-        return self.d_norm(x, y) <= eps
-
     def distance_tensor(self) -> np.ndarray:
         """Every distance of a finite space at once, read-only.
 
@@ -409,8 +404,6 @@ class PerPairCoefficients:
 
     table: dict[tuple[str, str], tuple]
 
-    is_constant = False
-
     def at(self, x, y):
         key = (x, y)
         if key not in self.table:
@@ -423,8 +416,6 @@ class CallableCoefficients:
     """Operator quadruples produced by a user callback ``fn(x, y)``."""
 
     fn: Callable
-
-    is_constant = False
 
     def at(self, x, y):
         return self.fn(x, y)
@@ -461,19 +452,20 @@ def contraction_residual(space: ConeMetricSpace, mapping, coeffs, x, y) -> np.nd
     """
     x = space.check_point(x)
     y = space.check_point(y)
-    return _residual(space, mapping, coeffs.at(x, y), x, y)
+    return _residual(space, mapping, [op.matrix for op in coeffs.at(x, y)], x, y)
 
 
-def _residual(space: ConeMetricSpace, mapping, ops, x, y) -> np.ndarray:
+def _residual(space: ConeMetricSpace, mapping, quad, x, y) -> np.ndarray:
+    """The residual at one pair, from the four coefficient matrices ``quad``."""
     tx = mapping.apply(space, x)
     ty = mapping.apply(space, y)
-    a1, a2, a3, a4 = ops
+    a1, a2, a3, a4 = quad
     rhs = (
-        a1.matrix @ space.d(x, y)
-        + a2.matrix @ space.d(x, tx)
-        + a3.matrix @ space.d(y, ty)
-        + a4.matrix @ space.d(x, ty)
-        + a4.matrix @ space.d(y, tx)
+        a1 @ space.d(x, y)
+        + a2 @ space.d(x, tx)
+        + a3 @ space.d(y, ty)
+        + a4 @ space.d(x, ty)
+        + a4 @ space.d(y, tx)
     )
     return rhs - space.d(tx, ty)
 
@@ -484,25 +476,25 @@ def _act(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (matrices @ vectors[..., None])[..., 0]
 
 
-def _finite_residuals(space: ConeMetricSpace, mapping, quads) -> np.ndarray:
+def _finite_residuals(space: ConeMetricSpace, mapping, stack) -> np.ndarray:
     """Contraction residuals at every ordered pair of a finite space, shape (N, N, p).
 
-    ``quads`` holds either one operator quadruple shared by every pair or
-    one per pair in canonical order.  Entry ``[i, j]`` equals
-    :func:`contraction_residual` at ``(order[i], order[j])`` bit for bit.
+    ``stack`` is the ``(Q, 4, p, p)`` quadruple stack of the sweep: one
+    quadruple shared by every pair, or one per pair in canonical order.
+    Entry ``[i, j]`` equals :func:`contraction_residual` at
+    ``(order[i], order[j])`` bit for bit.
     """
     dist = space.distance_tensor()
     t = space.image_indices(mapping)
     n, p = dist.shape[0], dist.shape[2]
     d_x_tx = dist[np.arange(n), t]  # d(x, Tx)
     d_x_ty = dist[:, t]  # [i, j]: d(x_i, T x_j)
-    if len(quads) == 1:
-        a1, a2, a3, a4 = (op.matrix for op in quads[0])
+    if len(stack) == 1:
+        a1, a2, a3, a4 = stack[0]
         cross = _act(a4, d_x_ty)
         cross_t = cross.transpose(1, 0, 2)  # [i, j]: A4 d(x_j, T x_i)
     else:
-        stacked = np.array([[op.matrix for op in q] for q in quads]).reshape(n, n, 4, p, p)
-        a1, a2, a3, a4 = (stacked[:, :, c] for c in range(4))
+        a1, a2, a3, a4 = stack.reshape(n, n, 4, p, p).transpose(2, 0, 1, 3, 4)
         cross = _act(a4, d_x_ty)
         cross_t = _act(a4, d_x_ty.transpose(1, 0, 2))
     return (
@@ -593,25 +585,26 @@ def _resolve_pairs(space: ConeMetricSpace, pair_source):
     raise ContractViolationError(f"unknown pair source {pair_source!r}")
 
 
-def _operator_stats(ops, cone: PolyhedralCone, tol: float) -> dict:
-    """Norm sum, invariance flags and composite norm of one operator quadruple."""
-    a1, a2, a3, a4 = ops
-    norms = tuple(operator_norm(op) for op in ops)
-    stats = {
-        "alpha": norms[0] + norms[1] + norms[2] + 2.0 * norms[3],
-        "i3": invariance_check(a1 + a2, cone, tol),
-        "hb": invariance_check(a2, cone, tol),
-        "i4": invariance_check(a4, cone, tol),
-    }
-    try:
-        inv = resolvent(a3, a4)
-    except ConefixError as exc:
-        stats.update(i5=False, i5_detail=str(exc), s_norm=None)
-        return stats
-    stats["i5"] = invariance_check(inv, cone, tol)
-    stats["i5_detail"] = "resolvent maps a generator out of the cone"
-    stats["s_norm"] = operator_norm(inv @ (a1 + a2 + a4))
-    return stats
+def _operator_stats(stack: np.ndarray, cone: PolyhedralCone, tol: float):
+    """Norm sums, invariance flags and composite norms of a ``(Q, 4, p, p)`` quadruple stack.
+
+    Returns ``alpha`` ``(Q,)``; the flags of ``i3``, ``hb``, ``i4`` and ``i5``
+    ``(Q, 4)``; the composite norms ``(Q,)``, NaN where the resolvent cannot
+    be certified; and the ``i5`` detail of the first entry failing ``i5``.
+    """
+    space = cone.space
+    norms = induced_norm(stack, space)
+    alpha = norms[:, 0] + norms[:, 1] + norms[:, 2] + 2.0 * norms[:, 3]
+    a1, a2, a3, a4 = stack.transpose(1, 0, 2, 3)
+    inv, error = resolvent_stack(a3, a4, space)
+    certified = ~np.isnan(inv[:, 0, 0])
+    inv = np.where(certified[:, None, None], inv, 0.0)
+    flags = invariance_check(np.stack((a1 + a2, a2, a4, inv), axis=1), cone, tol)
+    flags[:, 3] &= certified
+    s_norm = np.where(certified, induced_norm(inv @ (a1 + a2 + a4), space), np.nan)
+    first = int(np.argmin(flags[:, 3]))
+    detail = str(error) if not certified[first] else "resolvent maps a generator out of the cone"
+    return alpha, flags, s_norm, detail
 
 
 def check_hypotheses(
@@ -628,35 +621,35 @@ def check_hypotheses(
 
     ``k`` defaults to the cone's declared normal constant.  Coefficients are
     fetched once per pair in sweep order (once in all for a constant
-    family), and the operator-level conditions are evaluated once per
-    fetched quadruple.  The exhaustive sweep computes every residual in one
-    array expression over the distance tensor; a sampled sweep goes pair by
-    pair.  Ties in the witnessed maxima are broken by the first pair in
-    sweep order, and witnesses are listed in sweep order, so the report is
-    independent of how the residuals were evaluated.
+    family) into one quadruple stack, and the operator-level conditions are
+    evaluated over the whole stack at once.  The exhaustive sweep computes
+    every residual in one array expression over the distance tensor; a
+    sampled sweep goes pair by pair.  Ties in the witnessed maxima are
+    broken by the first pair in sweep order, and witnesses are listed in
+    sweep order, so the report is independent of how the residuals were
+    evaluated.
     """
     k = space.cone.normal_constant if k is None else float(k)
     if k < 1.0:
         raise ContractViolationError("normal constant must be >= 1")
     n_pairs, pair_at, exhaustive = _resolve_pairs(space, pair_source)
     cone = space.cone
-
-    # Quadruple q serves sweep position q (and, for a constant family, all).
-    if getattr(coeffs, "is_constant", False):
-        quads = [coeffs.at(*pair_at(0))]
-    else:
-        quads = [coeffs.at(*pair_at(i)) for i in range(n_pairs)]
-    stats = [_operator_stats(ops, cone, tol) for ops in quads]
+    # quadruple q serves sweep position q; a constant family's one serves all
+    count = 1 if getattr(coeffs, "is_constant", False) else n_pairs
+    p = cone.space.dim
+    mats = [op.matrix for q in range(count) for op in coeffs.at(*pair_at(q))]
+    if any(m.shape != (p, p) for m in mats):
+        raise ContractViolationError("operator and cone live in different dimensions")
+    stack = np.array(mats).reshape(count, 4, p, p)
+    alphas, flags, s_norms, i5_detail = _operator_stats(stack, cone, tol)
 
     if exhaustive:
-        residuals = _finite_residuals(space, mapping, quads).reshape(n_pairs, -1)
+        residuals = _finite_residuals(space, mapping, stack).reshape(n_pairs, -1)
     else:
-
-        def residual_at(i):
-            x, y = (space.check_point(z) for z in pair_at(i))
-            return _residual(space, mapping, quads[0 if len(quads) == 1 else i], x, y)
-
-        residuals = np.array([residual_at(i) for i in range(n_pairs)])
+        residuals = np.array([
+            _residual(space, mapping, stack[i % len(stack)], *map(space.check_point, pair_at(i)))
+            for i in range(n_pairs)
+        ])
     # whole-array tests first; the per-pair reductions only when one fails
     finite = np.isfinite(residuals)
     if not finite.all():
@@ -669,17 +662,13 @@ def check_hypotheses(
     # (sweep position, rank within the pair, witness); sorting restores the
     # order in which a pair-by-pair sweep meets them.
     events = []
-    flags = {}
+    passes = flags.all(axis=0)
+    firsts = np.argmin(flags, axis=0)
     for rank, name in enumerate(("i3", "hb", "i4", "i5")):
-        first = next((q for q, st in enumerate(stats) if not st[name]), None)
-        flags[name] = first is None
-        if first is not None:
-            detail = (
-                stats[first]["i5_detail"]
-                if name == "i5"
-                else f"{name}: operator maps a generator out of the cone"
-            )
-            events.append((first, rank, Witness(name, *pair_at(first), detail)))
+        if not passes[rank]:
+            q = int(firsts[rank])
+            detail = i5_detail if name == "i5" else f"{name}: operator maps a generator out of the cone"
+            events.append((q, rank, Witness(name, *pair_at(q), detail)))
     for i in failing[:MAX_WITNESSES]:
         worst = float(np.min(products[i]))
         detail = f"residual leaves the cone (worst facet product {worst:.6g})"
@@ -691,8 +680,8 @@ def check_hypotheses(
         if len(witnesses) < MAX_WITNESSES:
             witnesses.append(Witness(condition, x, y, detail, value))
 
-    a_at = max(range(len(stats)), key=lambda q: stats[q]["alpha"])
-    alpha, alpha_pair = stats[a_at]["alpha"], pair_at(a_at)
+    a_at = int(np.argmax(alphas))
+    alpha, alpha_pair = float(alphas[a_at]), pair_at(a_at)
     i1 = alpha < 1.0 / k
     if not i1:
         witness(
@@ -701,12 +690,12 @@ def check_hypotheses(
             f"coefficient norm sum {alpha:.17g} is not below 1/k = {1.0 / k:.17g}",
             value=alpha,
         )
-    defined = [q for q, st in enumerate(stats) if st["s_norm"] is not None]
-    beta_defined = len(defined) == len(stats)
+    defined = ~np.isnan(s_norms)
+    beta_defined = bool(defined.all())
     beta, beta_pair = float("nan"), None
-    if defined:
-        b_at = max(defined, key=lambda q: stats[q]["s_norm"])
-        beta, beta_pair = stats[b_at]["s_norm"], pair_at(b_at)
+    if defined.any():
+        b_at = int(np.nanargmax(s_norms))
+        beta, beta_pair = float(s_norms[b_at]), pair_at(b_at)
     i2 = beta_defined and beta < 1.0
     if beta_defined and not i2:
         witness("i2", *beta_pair, f"composite operator norm {beta:.17g} is not below 1", value=beta)
@@ -724,15 +713,15 @@ def check_hypotheses(
         )
 
     return HypothesisReport(
-        alpha=float(alpha),
-        beta=float(beta),
+        alpha=alpha,
+        beta=beta,
         k=k,
         i1_pass=i1,
         i2_pass=i2,
-        i3_pass=flags["i3"],
-        hb_pass=flags["hb"],
-        i4_pass=flags["i4"],
-        i5_pass=flags["i5"],
+        i3_pass=bool(passes[0]),
+        hb_pass=bool(passes[1]),
+        i4_pass=bool(passes[2]),
+        i5_pass=bool(passes[3]),
         contraction_pass=failing.size == 0,
         witnesses=witnesses,
         pairs_checked=n_pairs,

@@ -5,7 +5,8 @@ one/infinity/weighted norms, the largest singular value for the two norm.
 The resolvent ``(I - A3 - A4)^{-1}`` is certified rather than assumed: it is
 computed by a direct solve, its residuals are verified against the requested
 tolerance, and the Banach lemma turns the residual into a bound on the
-distance to the true inverse.
+distance to the true inverse.  The norms, the invariance test and the
+resolvent work on stacks ``(..., p, p)`` of matrices, entry by entry.
 """
 
 from __future__ import annotations
@@ -62,43 +63,77 @@ class LinearOperator:
             raise ContractViolationError("operators act on different spaces")
 
 
-def apply(op: LinearOperator, v) -> np.ndarray:
-    """Matrix-vector action of the operator."""
-    arr = op.space.as_vector(v)
-    return op.matrix @ arr
+def induced_norm(matrix, space: NormedSpace):
+    """Operator norm induced by the space's vector norm, for each matrix of a stack.
 
-
-def induced_norm(matrix: np.ndarray, space: NormedSpace) -> float:
-    """Operator norm of ``matrix`` induced by the space's vector norm."""
-    m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    ``matrix`` has shape ``(..., p, p)``; the result has shape ``(...)``, a
+    scalar for a single matrix.
+    """
+    m = np.asarray(matrix, dtype=float)
     if space.kind == "one":
-        return float(np.max(np.sum(np.abs(m), axis=0)))
+        return np.max(np.sum(np.abs(m), axis=-2), axis=-1)
     if space.kind == "infinity":
-        return float(np.max(np.sum(np.abs(m), axis=1)))
+        return np.max(np.sum(np.abs(m), axis=-1), axis=-1)
     if space.kind == "weighted":
         w = np.asarray(space.weights)
-        scaled = (w[:, None] * m) / w[None, :]
-        return float(np.max(np.sum(np.abs(scaled), axis=1)))
-    return float(np.linalg.norm(m, 2))
+        return np.max(np.sum(np.abs((w[:, None] * m) / w), axis=-1), axis=-1)
+    return np.linalg.svd(m, compute_uv=False)[..., 0]
 
 
-def operator_norm(op: LinearOperator, space: NormedSpace | None = None) -> float:
-    """Induced norm of the operator, in its own space's norm by default."""
-    return induced_norm(op.matrix, op.space if space is None else space)
+def operator_norm(op: LinearOperator) -> float:
+    """Induced norm of the operator in its space's norm."""
+    return float(induced_norm(op.matrix, op.space))
 
 
-def invariance_check(
-    op: LinearOperator, cone: PolyhedralCone, tol: float = DEFAULT_MEMBERSHIP_TOL
-) -> bool:
-    """True iff the operator maps the cone into itself.
+def invariance_check(op, cone: PolyhedralCone, tol: float = DEFAULT_MEMBERSHIP_TOL):
+    """Whether the operator, or each matrix of a stack ``(..., p, p)``, maps the cone into itself.
 
     By linearity it is enough to check the images of the generators, so the
     test is exact for polyhedral cones up to the membership tolerance.
     """
-    if op.space.dim != cone.space.dim:
+    m = op.matrix if isinstance(op, LinearOperator) else np.asarray(op, dtype=float)
+    if m.shape[-1] != cone.space.dim:
         raise ContractViolationError("operator and cone live in different dimensions")
-    images = (op.matrix @ cone.generators[..., None])[..., 0]
-    return bool(np.all(cone_members(cone, images, tol)))
+    images = (m[..., None, :, :] @ cone.generators[..., None])[..., 0]
+    return np.all(cone_members(cone, images, tol), axis=-1)
+
+
+def resolvent_stack(m3, m4, space: NormedSpace, tol: float = RESOLVENT_AGREE_TOL):
+    """Certified inverses of ``I - A3 - A4`` for stacks ``(..., p, p)`` of ``A3`` and ``A4``.
+
+    Each entry is certified as :func:`resolvent` describes.  Returns the
+    inverses, NaN where an entry cannot be certified, and the error
+    :func:`resolvent` raises for the first such entry in C order (None when
+    every entry is certified).
+    """
+    eye = np.eye(space.dim)
+    sum_norms = induced_norm(m3, space) + induced_norm(m4, space)
+    live = sum_norms < 1.0
+    # an entry failing the precondition is solved as I instead, since one
+    # singular matrix would make the solve fail for the whole stack
+    m = np.where(live[..., None, None], eye - np.asarray(m3, dtype=float) - m4, eye)
+    x = np.linalg.solve(m, eye)
+    r1 = induced_norm(m @ x - eye, space)
+    r2 = induced_norm(x @ m - eye, space)
+    x_norm = induced_norm(x, space)
+    residual_ok = (r1 <= tol) & (r2 <= tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        banach_ok = (r1 < 1.0) & (x_norm * r1 / (1.0 - r1) <= tol * np.maximum(1.0, x_norm))
+    certified = live & residual_ok & banach_ok
+    inv = np.where(certified[..., None, None], x, np.nan)
+    if certified.all():
+        return inv, None
+    q = np.unravel_index(np.argmin(certified), np.shape(certified))
+    if not live[q]:
+        message = f"cannot certify the resolvent: norm(A3) + norm(A4) = {sum_norms[q]:.17g} >= 1"
+        return inv, HypothesisFailureError("i1", message)
+    if not residual_ok[q]:
+        return inv, NumericError(
+            f"resolvent residuals {r1[q]:.3e}, {r2[q]:.3e} exceed tolerance {tol:.3e}"
+        )
+    return inv, NumericError(
+        f"Banach-lemma error bound for residual {r1[q]:.3e} exceeds tolerance {tol:.3e}"
+    )
 
 
 def resolvent(a3: LinearOperator, a4: LinearOperator, tol: float = RESOLVENT_AGREE_TOL) -> LinearOperator:
@@ -113,28 +148,10 @@ def resolvent(a3: LinearOperator, a4: LinearOperator, tol: float = RESOLVENT_AGR
     must be within ``tol`` relative to ``max(1, norm(X))``.
     """
     a3._check_same_space(a4)
-    space = a3.space
-    p = space.dim
-    sum_norms = operator_norm(a3) + operator_norm(a4)
-    if sum_norms >= 1.0:
-        raise HypothesisFailureError(
-            "i1",
-            f"cannot certify the resolvent: norm(A3) + norm(A4) = {sum_norms:.17g} >= 1",
-        )
-    m = np.eye(p) - a3.matrix - a4.matrix
-    inv = np.linalg.solve(m, np.eye(p))
-
-    r1 = induced_norm(m @ inv - np.eye(p), space)
-    r2 = induced_norm(inv @ m - np.eye(p), space)
-    if r1 > tol or r2 > tol:
-        raise NumericError(f"resolvent residuals {r1:.3e}, {r2:.3e} exceed tolerance {tol:.3e}")
-
-    inv_norm = induced_norm(inv, space)
-    if r1 >= 1.0 or inv_norm * r1 / (1.0 - r1) > tol * max(1.0, inv_norm):
-        raise NumericError(
-            f"Banach-lemma error bound for residual {r1:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return LinearOperator(inv, space)
+    inv, error = resolvent_stack(a3.matrix, a4.matrix, a3.space, tol)
+    if error is not None:
+        raise error
+    return LinearOperator(inv, a3.space)
 
 
 def s_operator(

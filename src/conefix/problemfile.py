@@ -53,7 +53,7 @@ class Problem:
 class Key(NamedTuple):
     """One key of a section table."""
 
-    type: object  # converter(value, path, key, dims), a nested table, or [table]
+    type: object  # converter(value, path, key, dims), a nested table, or [table] for pair rows
     required: bool = True
     default: object = None
     shape: tuple = ()  # of an array: "dim", "m", or None for any length
@@ -99,7 +99,8 @@ def _section(block, table, path, dims):
             continue
         value = block[name]
         if isinstance(key.type, list):
-            value = [_section(v, key.type[0], f"{sub}.{i}", dims) for i, v in enumerate(_list(value, sub))]
+            rows = [_section(v, key.type[0], f"{sub}.{i}", dims) for i, v in enumerate(_list(value, sub))]
+            value = _by_pair([(row["x"], row["y"], row) for row in rows], sub)
         elif isinstance(key.type, dict):
             value = _section(value, key.type, sub, dims)
         else:
@@ -164,15 +165,13 @@ def _array(value, path, key, dims):
     if arr.ndim != len(key.shape) or arr.shape != tuple(map(dims.get, key.shape, arr.shape)):
         shape = "x".join(str(dims[s]) if s else "n" for s in key.shape)
         raise ProblemFileError(f"expected an array of shape {shape}, got shape {arr.shape}", path)
+    if not np.isfinite(arr).all():
+        raise ProblemFileError("expected finite array entries", path)
     return arr
 
 
 def _operator(value, path, key, dims):
-    matrix = _array(value, path, key, dims)
-    try:
-        return LinearOperator(matrix, dims["norm"])
-    except ConefixError as exc:
-        raise ProblemFileError(str(exc), path) from None
+    return LinearOperator(_array(value, path, key, dims), dims["norm"])
 
 
 def _norm(value, path, key, dims):
@@ -209,14 +208,29 @@ def _positions(value, path, key, dims):
     return positions
 
 
+def _by_pair(rows, path):
+    """``(x, y, value)`` rows as a dict from ``(x, y)`` to the value.
+
+    Each ordered pair may appear once; ``(b, a)`` is another pair than ``(a, b)``.
+    """
+    table = {}
+    for i, (x, y, value) in enumerate(rows):
+        if (x, y) in table:
+            raise ProblemFileError(f"pair ({x}, {y}) is given more than once", f"{path}.{i}")
+        table[(x, y)] = value
+    return table
+
+
 def _entries(value, path, key, dims):
     """``[x, y, vector]`` triples, as a dict from the label pair to the vector."""
-    entries = {}
+    rows = []
     for i, item in enumerate(_list(value, path)):
+        sub = f"{path}.{i}"
         if not (isinstance(item, list) and len(item) == 3):
-            raise ProblemFileError("table entries must be [x, y, vector] triples", f"{path}.{i}")
-        entries[(str(item[0]), str(item[1]))] = _array(item[2], f"{path}.{i}", key, dims)
-    return entries
+            raise ProblemFileError("table entries must be [x, y, vector] triples", sub)
+        x, y = (_known_label(label, sub, key, dims) for label in item[:2])
+        rows.append((x, y, _array(item[2], sub, key, dims)))
+    return _by_pair(rows, path)
 
 
 def _label_map(value, path, key, dims):
@@ -230,13 +244,20 @@ def _label_map(value, path, key, dims):
     return table
 
 
+def _known_label(value, path, key, dims):
+    """A label of the finite point set."""
+    if "labels" not in dims:
+        raise ProblemFileError("needs a finite point domain", path)
+    if str(value) not in dims["labels"]:
+        raise ProblemFileError(f"{str(value)!r} is not a point label", path)
+    return str(value)
+
+
 def _point(value, path, key, dims):
     """A point label of a finite space, or a vector of R^m (a bare number when m = 1)."""
     if "labels" not in dims:
         return _array(value if isinstance(value, list) else [value], path, key, dims)
-    if str(value) not in dims["labels"]:
-        raise ProblemFileError(f"{str(value)!r} is not a point label", path)
-    return str(value)
+    return _known_label(value, path, key, dims)
 
 
 def _pair_source(value, path, key, dims):
@@ -286,7 +307,7 @@ DOCUMENT = {
     ), required=False),
     "coefficients": Key(Kinds(
         constant=OPERATORS,
-        per_pair={"table": Key([{"x": Key(_label), "y": Key(_label), **OPERATORS}])},
+        per_pair={"table": Key([{"x": Key(_known_label), "y": Key(_known_label), **OPERATORS}])},
     ), required=False),
     "solve": Key({
         "x0": Key(_point, shape=("m",)),
@@ -332,7 +353,7 @@ def _build_coefficients(values):
     if values["kind"] == "constant":
         return ConstantCoefficients(*(values[name] for name in OPERATORS))
     return PerPairCoefficients(
-        {(row["x"], row["y"]): tuple(row[name] for name in OPERATORS) for row in values["table"]}
+        {pair: tuple(row[name] for name in OPERATORS) for pair, row in values["table"].items()}
     )
 
 

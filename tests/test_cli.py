@@ -81,6 +81,10 @@ def per_pair_doc():
     }
 
 
+PER_PAIR_ROWS = per_pair_doc()["coefficients"]["table"]
+DUPLICATE_ROW = {**PER_PAIR_ROWS[1], "A1": [[5.0]]}  # a second (a, b) row
+ZERO_OPS_2D = {name: [[0.0, 0.0], [0.0, 0.0]] for name in ("A1", "A2", "A3", "A4")}
+
 # (problem, path to a key, value put there, section the error names)
 BAD_STRUCTURE = [
     ("finite_ladder", ("space", "metric", "positions", "p03"), ["abc"], "space.metric.positions.p03"),
@@ -100,6 +104,24 @@ BAD_STRUCTURE = [
     ("banach_scalar", ("mapping", "table"), {}, "mapping"),
     ("finite_ladder", ("coefficients", "table"), "junk", "coefficients"),
     ("per_pair", ("coefficients", "A1"), [[0.3]], "coefficients"),
+    # each ordered pair once, and only pairs of the point labels
+    ("per_pair", ("coefficients", "table"), [DUPLICATE_ROW, *PER_PAIR_ROWS], "coefficients.table.2"),
+    ("per_pair", ("coefficients", "table"), [*PER_PAIR_ROWS, DUPLICATE_ROW], "coefficients.table.4"),
+    ("per_pair", ("coefficients", "table"), [*PER_PAIR_ROWS, {**DUPLICATE_ROW, "x": "zz"}],
+     "coefficients.table.4.x"),
+    ("per_pair", ("space", "metric", "entries"), [["a", "b", [1.0]], ["a", "b", [1.0]]],
+     "space.metric.entries.1"),
+    ("per_pair", ("space", "metric", "entries"), [["a", "zz", [1.0]]], "space.metric.entries.0"),
+    ("banach_scalar", ("coefficients",), {"kind": "per_pair", "table": [{"x": "a", "y": "b", **ZERO_OPS_2D}]},
+     "coefficients.table.0.x"),
+]
+
+# (path to an array key of banach_scalar.json, command); the key holds [1e400]
+NON_FINITE_ARRAYS = [
+    (("mapping", "c"), "validate"),
+    (("mapping", "c"), "check"),
+    (("solve", "x0"), "check"),
+    (("solve", "x0"), "solve"),
 ]
 
 
@@ -174,6 +196,18 @@ class TestExitCodes:
             code, out = run_cli([argv[0], path, "--output", "machine", *argv[1:]])
             assert code == 2
             assert f"\nerror={section}:" in out
+
+    @pytest.mark.parametrize(
+        "keys,command", NON_FINITE_ARRAYS, ids=[f"{'.'.join(k)}:{c}" for k, c in NON_FINITE_ARRAYS]
+    )
+    def test_non_finite_array_entry_names_key(self, tmp_path, keys, command):
+        doc = json.loads((PROBLEMS / "banach_scalar.json").read_text())
+        doc[keys[0]][keys[1]] = "@@"
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc).replace('"@@"', "[1e400]"), encoding="utf-8")
+        code, out = run_cli([command, str(path), "--output", "machine"])
+        assert code == 2
+        assert f"\nerror={'.'.join(keys)}: expected finite array entries" in out
 
     def test_per_pair_table_problem_solves(self, tmp_path):
         path = write_problem(tmp_path, per_pair_doc())

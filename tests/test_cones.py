@@ -12,7 +12,6 @@ from conefix import (
     UnsupportedError,
     check_declared_normal_constant,
     cone_contains,
-    leq,
     normal_constant_lower_bound,
     orthant,
     skewed_cone_2d,
@@ -34,6 +33,11 @@ class TestMembership:
     def test_dimension_mismatch_raises(self, orthant2_two):
         with pytest.raises(ContractViolationError):
             cone_contains(orthant2_two, [1.0, 2.0, 3.0])
+
+
+def leq(cone, x, y):
+    """The order the cone induces: x <= y iff y - x is a member."""
+    return cone_contains(cone, np.subtract(y, x))
 
 
 class TestOrder:

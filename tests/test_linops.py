@@ -1,14 +1,14 @@
-"""Operator application, induced norms, invariance, resolvents."""
+"""Induced norms, invariance, resolvents."""
 
 import numpy as np
 import pytest
 
 from conefix import (
+    ConefixError,
     ContractViolationError,
     HypothesisFailureError,
     LinearOperator,
     NormedSpace,
-    apply,
     induced_norm,
     invariance_check,
     operator_norm,
@@ -17,6 +17,14 @@ from conefix import (
     resolvent,
     s_operator,
 )
+from conefix.linops import resolvent_stack
+
+SPACES = [
+    NormedSpace(3, "one"),
+    NormedSpace(3, "two"),
+    NormedSpace(3, "infinity"),
+    NormedSpace(3, "weighted", (2.0, 0.5, 1.5)),
+]
 
 
 def sampling_norm_oracle(matrix, space, n=4000, seed=0):
@@ -37,26 +45,6 @@ def sampling_norm_oracle(matrix, space, n=4000, seed=0):
             continue
         best = max(best, space.norm(matrix @ v) / nv)
     return best
-
-
-class TestApply:
-    def test_identity(self):
-        space = NormedSpace(2, "two")
-        assert np.array_equal(apply(LinearOperator.identity(space), [3.0, -1.0]), [3.0, -1.0])
-
-    def test_diagonal_scaling(self):
-        space = NormedSpace(2, "two")
-        op = LinearOperator(np.diag([0.5, 0.2]), space)
-        assert np.allclose(apply(op, [2.0, 5.0]), [1.0, 1.0])
-
-    def test_zero_operator(self):
-        space = NormedSpace(3, "one")
-        assert np.array_equal(apply(LinearOperator.zero(space), [1.0, 2.0, 3.0]), np.zeros(3))
-
-    def test_dimension_mismatch(self):
-        space = NormedSpace(2, "two")
-        with pytest.raises(ContractViolationError):
-            apply(LinearOperator.identity(space), [1.0, 2.0, 3.0])
 
 
 class TestOperatorNorm:
@@ -120,6 +108,45 @@ class TestOperatorNorm:
             a = LinearOperator(rng.normal(size=(3, 3)), space)
             b = LinearOperator(rng.normal(size=(3, 3)), space)
             assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda space: space.kind)
+class TestStacks:
+    """A stack ``(..., p, p)`` gives what each of its matrices gives alone, bit for bit."""
+
+    def test_induced_norm(self, space):
+        stack = np.random.default_rng(5).normal(size=(6, 4, 3, 3))
+        norms = induced_norm(stack, space)
+        assert norms.shape == (6, 4)
+        assert norms.tolist() == [[induced_norm(m, space) for m in row] for row in stack]
+
+    def test_invariance_check(self, space):
+        cone = orthant(space)
+        stack = np.random.default_rng(6).uniform(-0.05, 1.0, (6, 4, 3, 3))
+        flags = invariance_check(stack, cone)
+        assert flags.shape == (6, 4)
+        expected = [[invariance_check(LinearOperator(m, space), cone) for m in row] for row in stack]
+        assert flags.tolist() == expected
+        assert {True, False} <= set(flags.ravel().tolist())
+
+    def test_resolvent(self, space):
+        rng = np.random.default_rng(7)
+        m3 = rng.uniform(-0.3, 0.3, (8, 3, 3))
+        m4 = rng.uniform(-0.2, 0.2, (8, 3, 3))
+        m3[2], m4[2] = np.eye(3), 0.0  # I - A3 - A4 is singular
+        m3[5] *= 4.0
+        inv, error = resolvent_stack(m3, m4, space)
+        errors = []
+        for q in range(8):
+            try:
+                expected = resolvent(LinearOperator(m3[q], space), LinearOperator(m4[q], space))
+            except ConefixError as exc:
+                errors.append(exc)
+                assert np.isnan(inv[q]).all()
+            else:
+                assert np.array_equal(inv[q], expected.matrix)
+        assert type(error) is type(errors[0]) and str(error) == str(errors[0])
+        assert "cannot certify the resolvent" in str(error)
 
 
 class TestInvariance:

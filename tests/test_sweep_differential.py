@@ -360,6 +360,30 @@ def test_callable_coefficients_called_once_per_pair(orthant2_inf):
     assert calls == [(x, y) for x in labels for y in labels]
 
 
+def test_singular_quadruple_is_the_i5_witness(orthant2_inf):
+    # nonnegative quadruples keep every certified resolvent in the orthant,
+    # so the one pair whose I - A3 - A4 is singular is the only i5 failure
+    rng = np.random.default_rng(4)
+    space = random_space(rng, orthant2_inf, "discrete", 4)
+    labels = sorted(space.labels)
+    table = {
+        (x, y): tuple(LinearOperator(rng.uniform(0.0, 0.1, (2, 2)), orthant2_inf.space) for _ in range(4))
+        for x in labels
+        for y in labels
+    }
+    pair = (labels[1], labels[2])
+    a1, a2, _, _ = table[pair]
+    table[pair] = (a1, a2, LinearOperator.identity(orthant2_inf.space), LinearOperator.zero(orthant2_inf.space))
+    coeffs = PerPairCoefficients(table)
+    mapping = TableMapping({x: labels[0] for x in labels})
+    report = check_hypotheses(space, mapping, coeffs, tol=TOL)
+    assert report_fields(report) == reference_report(space, mapping, coeffs)
+    (i5,) = [w for w in report.witnesses if w.condition == "i5"]
+    assert (i5.x, i5.y) == pair
+    assert i5.detail.startswith("cannot certify the resolvent")
+    assert not report.i2_pass  # beta is not defined at that pair
+
+
 def test_large_space_counts():
     # untimed: the array sweeps must cover N^2 pairs and N^3 triples
     n = 120
