@@ -311,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="run the certified fixed-point iteration")
     p_solve.add_argument("file")
     p_solve.add_argument("--trace", action="store_true", help="emit all iterates")
-    p_solve.add_argument("--audit-gap", type=int, default=None, metavar="N",
+    p_solve.add_argument("--audit-gap", type=functools.partial(_nonnegative, "audit-gap"),
+                         default=None, metavar="N",
                          help="audit step and gap bounds along the trace up to gap N")
     p_solve.add_argument("--force", action="store_true",
                          help="skip hypothesis checking (recorded in the report)")

@@ -20,7 +20,6 @@ distance tensor of the space at once; on euclidean domains it is sampled
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -84,6 +83,11 @@ class FinitePoints:
             missing = set(self.labels) - set(self.positions)
             if missing:
                 raise ContractViolationError(f"positions missing for labels {sorted(missing)}")
+            unknown = set(self.positions) - set(self.labels)
+            if unknown:
+                raise ContractViolationError(
+                    f"positions given for unknown labels {sorted(unknown)}"
+                )
             shapes = {v.shape for v in self.positions.values()}
             if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
                 raise ContractViolationError("positions must be vectors of one common dimension")
@@ -128,9 +132,12 @@ class TableMetric:
     """Explicit distance table for a finite point set.
 
     Entries are stored per ordered pair as given; lookups fall back to the
-    reversed pair, and a missing diagonal entry means zero.  Deliberately
-    inconsistent tables are representable so the axiom suite can report on
-    them instead of the constructor refusing them.
+    reversed pair, and a missing diagonal entry means zero.  Every pair of
+    distinct labels must be given in at least one order, with finite
+    entries, or the space refuses the table.  Deliberately inconsistent
+    tables (asymmetric, negative, nonzero on the diagonal) are
+    representable so the axiom suite can report on them instead of the
+    constructor refusing them.
     """
 
     entries: dict[tuple[str, str], np.ndarray]
@@ -146,11 +153,12 @@ class ConeMetricSpace:
     """A point domain together with a cone-valued metric.
 
     A space must not change after construction.  A finite space builds its
-    distance tensor and the norms of its entries once, on first use, and
-    every later distance, norm and sweep reads those read-only arrays.  So
-    even a single :meth:`d` or :meth:`d_norm` on a finite space costs the
-    whole ``N x N x p`` tensor, sampled checks included, and a space whose
-    tensor would exceed :data:`TABLE_MAX_ELEMENTS` entries is refused.
+    distance tensor and the norms of its entries in the constructor, and
+    every distance, norm and sweep reads those read-only arrays.  The
+    constructor refuses a finite space whose tensor would exceed
+    :data:`TABLE_MAX_ELEMENTS` entries, a table that gives some pair of
+    distinct labels in neither order, and any non-finite distance: a cone
+    metric is defined, and finite, at every pair.
     """
 
     def __init__(self, cone: PolyhedralCone, points, metric):
@@ -182,8 +190,18 @@ class ConeMetricSpace:
                     raise ContractViolationError(f"table entry ({a}, {b}) names unknown points")
         else:
             raise ContractViolationError("metric must be a LiftedMetric or a TableMetric")
-        self._dist = None  # (D, known) of a finite space; known is None when complete
-        self._norms = None  # norms of D, NaN where a table has no entry
+        if self.is_finite:
+            n = len(points.order)
+            if n * n * p > TABLE_MAX_ELEMENTS:
+                raise ContractViolationError(
+                    f"finite space of {n} points is too large for its distance table "
+                    f"({n}x{n}x{p} entries, limit {TABLE_MAX_ELEMENTS})"
+                )
+            dist = self._build_distances()
+            if not np.isfinite(dist).all():
+                self._refuse(dist)
+            self._dist, self._norms = dist, cone.space.norms(dist)
+            dist.flags.writeable = self._norms.flags.writeable = False
 
     @property
     def is_finite(self) -> bool:
@@ -218,38 +236,31 @@ class ConeMetricSpace:
 
     def d(self, x, y) -> np.ndarray:
         """Cone-valued distance between two points."""
-        if not self.is_finite:
-            return self._rho(self.check_point(x), self.check_point(y)) * self.metric.weight
-        i, j = self._place(x), self._place(y)
-        dist, known = self._distances()
-        if known is not None and not known[i, j]:
-            raise ContractViolationError(f"metric table has no entry for ({x}, {y})")
-        return dist[i, j].copy()
+        if self.is_finite:
+            return self._dist[self._place(x), self._place(y)].copy()
+        return self._rho(self.check_point(x), self.check_point(y)) * self.metric.weight
 
     def d_norm(self, x, y) -> float:
         """Ambient norm of the distance vector; the scalar the solver watches."""
         if self.is_finite:
-            value = float(self._norm_values()[self._place(x), self._place(y)])
-            if math.isfinite(value):
-                return value
-        # a missing entry or a non-finite distance raises here
+            return float(self._norms[self._place(x), self._place(y)])
         return self.cone.space.norm(self.d(x, y))
 
     def _pair_norms(self, points, a, b) -> np.ndarray:
         """``d_norm(points[a[k]], points[b[k]])`` for every k, as one array.
 
         Equal to the per-pair calls bit for bit.  Every point of ``points``
-        is checked first, in order; then a pair without a finite norm goes
-        through :meth:`d_norm`, so the first such pair raises what it raises.
+        is checked first, in order; on a euclidean domain a pair without a
+        finite norm then goes through :meth:`d_norm`, so the first such pair
+        raises what it raises.
         """
         a = np.asarray(a, dtype=np.intp)
         b = np.asarray(b, dtype=np.intp)
         if self.is_finite:
             place = np.array([self._place(x) for x in points], dtype=np.intp)
-            values = self._norm_values()[place[a], place[b]]
-        else:
-            pts = np.array([self.check_point(x) for x in points])
-            values = self.cone.space.norms(self._rho(pts[a], pts[b])[:, None] * self.metric.weight)
+            return self._norms[place[a], place[b]]
+        pts = np.array([self.check_point(x) for x in points])
+        values = self.cone.space.norms(self._rho(pts[a], pts[b])[:, None] * self.metric.weight)
         for k in np.flatnonzero(~np.isfinite(values)):
             values[k] = self.d_norm(points[a[k]], points[b[k]])
         return values
@@ -258,47 +269,19 @@ class ConeMetricSpace:
         """Every distance of a finite space at once, read-only.
 
         ``D[i, j] = d(order[i], order[j])`` over the sorted labels, with the
-        same values (bit for bit) as :meth:`d`.  A table with a missing pair
-        raises the error of :meth:`d` for the first such pair in canonical
-        order.
+        same values (bit for bit) as :meth:`d`.
         """
-        dist, known = self._distances()
-        if known is not None:
-            i, j = np.argwhere(~known)[0]
-            order = self.points.order
-            raise ContractViolationError(f"metric table has no entry for ({order[i]}, {order[j]})")
-        return dist
+        if not self.is_finite:
+            raise ContractViolationError("euclidean domains have no distance table")
+        return self._dist
 
     def norm_table(self) -> np.ndarray:
         """Read-only ``(N, N)`` norms of :meth:`distance_tensor`; ``[i, j]`` is ``d_norm``."""
         self.distance_tensor()
-        return self._norm_values()
-
-    def _norm_values(self) -> np.ndarray:
-        if self._norms is None:
-            dist, known = self._distances()
-            norms = self.cone.space.norms(dist)
-            if known is not None:
-                norms[~known] = np.nan
-            norms.flags.writeable = False
-            self._norms = norms
         return self._norms
 
-    def _distances(self):
-        if self._dist is None:
-            n, p = len(self.points.order), self.cone.space.dim
-            if n * n * p > TABLE_MAX_ELEMENTS:
-                raise ContractViolationError(
-                    f"finite space of {n} points is too large for its distance table "
-                    f"({n}x{n}x{p} entries, limit {TABLE_MAX_ELEMENTS})"
-                )
-            dist, known = self._build_distances()
-            dist.flags.writeable = False
-            self._dist = dist, None if known is None or known.all() else known
-        return self._dist
-
-    def _build_distances(self):
-        """The distance tensor over the sorted labels and, for a table, its known-pair mask."""
+    def _build_distances(self) -> np.ndarray:
+        """The distance tensor over the sorted labels; NaN where a table has no entry."""
         order = self.points.order
         n, p = len(order), self.cone.space.dim
         metric = self.metric
@@ -311,9 +294,9 @@ class ConeMetricSpace:
                 step = max(1, CHUNK_ELEMENTS // (n * pos.shape[1]))
                 for lo in range(0, n, step):
                     rho[lo : lo + step] = self._rho(pos[lo : lo + step, None], pos[None])
-            return rho[:, :, None] * metric.weight, None
-        dist = np.zeros((n, n, p))
-        known = np.eye(n, dtype=bool)
+            return rho[:, :, None] * metric.weight
+        dist = np.full((n, n, p), np.nan)
+        dist[np.arange(n), np.arange(n)] = 0.0
         if metric.entries:
             index = self.points.index
             rows = np.array([index[a] for a, _ in metric.entries])
@@ -322,8 +305,19 @@ class ConeMetricSpace:
             # reversed pairs first, so a pair's own entry wins over the fallback
             dist[cols, rows] = values
             dist[rows, cols] = values
-            known[rows, cols] = known[cols, rows] = True
-        return dist, known
+        return dist
+
+    def _refuse(self, dist):
+        """Raise for the first pair, in canonical order, that a table lacks or that is non-finite."""
+        order = self.points.order
+        pairs = [(order[i], order[j]) for i, j in np.argwhere(~np.isfinite(dist).all(axis=-1))]
+        if isinstance(self.metric, TableMetric):
+            given = self.metric.entries.keys()
+            for x, y in pairs:
+                if not {(x, y), (y, x)} & given:  # the diagonal is never missing
+                    raise ContractViolationError(f"metric table has no entry for ({x}, {y})")
+        x, y = pairs[0]
+        raise ContractViolationError(f"distance d({x}, {y}) has non-finite entries")
 
     def image_indices(self, mapping) -> np.ndarray:
         """``t[i]`` is the place of ``T(order[i])`` in the sorted labels."""
@@ -351,6 +345,8 @@ class TableMapping:
         self.table = {str(k): str(v) for k, v in self.table.items()}
 
     def apply(self, space: ConeMetricSpace, x):
+        if not space.is_finite:
+            raise ContractViolationError("table mappings act on finite point sets only")
         x = space.check_point(x)
         if x not in self.table:
             raise ContractViolationError(f"mapping table is not defined at {x!r}")

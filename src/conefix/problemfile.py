@@ -189,11 +189,15 @@ def _norm(value, path, key, dims):
 def _positions(value, path, key, dims):
     """Label coordinates, converted as one array with one finiteness test.
 
-    Label by label only when that fails: to name the bad label, or to pass
-    vectors of mixed lengths on to ``FinitePoints``, which refuses them.
+    Every key must be a point label.  Label by label only when that fails:
+    to name the bad label, or to pass vectors of mixed lengths on to
+    ``FinitePoints``, which refuses them.
     """
     if not isinstance(value, dict):
         raise ProblemFileError("expected an object of label coordinates", path)
+    for label in value:
+        if label not in dims["labels"]:
+            raise ProblemFileError(f"{label!r} is not a point label", f"{path}.{label}")
     try:
         coords = np.asarray(list(value.values()), dtype=float)
     except (TypeError, ValueError):
@@ -234,12 +238,14 @@ def _entries(value, path, key, dims):
 
 
 def _label_map(value, path, key, dims):
-    """A mapping table; over a finite space it must be total and map into the labels."""
+    """A mapping table of a finite space; it must be total and map into the labels."""
     if not isinstance(value, dict):
         raise ProblemFileError(f"expected an object, got {type(value).__name__}", path)
+    if "labels" not in dims:
+        raise ProblemFileError("needs a finite point domain", path)
     table = {str(a): str(b) for a, b in value.items()}
-    labels = dims.get("labels")
-    if labels is not None and (table.keys() != labels or not labels.issuperset(table.values())):
+    labels = dims["labels"]
+    if table.keys() != labels or not labels.issuperset(table.values()):
         raise ProblemFileError("mapping table must be total over the point labels and map into them", path)
     return table
 

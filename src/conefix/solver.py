@@ -242,6 +242,8 @@ def verify_proof_bounds(
         raise ContractViolationError("trace must contain at least one point")
     if not 0.0 <= beta < 1.0:
         raise ContractViolationError("bound audit needs beta in [0, 1)")
+    if max_gap < 0:
+        raise ContractViolationError("bound audit needs max_gap >= 0")
     audit = BoundAudit(step_checks=0, gap_checks=0)
     if len(trace.points) < 2:
         return audit

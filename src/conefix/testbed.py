@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import NormedSpace, PolyhedralCone, cone_contains, orthant
+from .cones import NormedSpace, PolyhedralCone, orthant
 from .contraction import (
     ConeMetricSpace,
     ConstantCoefficients,
@@ -45,15 +45,7 @@ def make_scalar_space(labels=None, positions=None, base: str = "euclidean") -> C
     space = NormedSpace(1, "two")
     cone = PolyhedralCone(space, [[1.0]], [[1.0]], normal_constant=1.0)
     metric = LiftedMetric(base, np.array([1.0]))
-    if labels is None:
-        points = EuclideanPoints(1)
-    else:
-        pos = None
-        if positions is not None:
-            pos = {str(k): np.atleast_1d(np.asarray(v, dtype=float)) for k, v in positions.items()}
-        elif base == "euclidean":
-            raise ContractViolationError("euclidean base over labels needs positions")
-        points = FinitePoints(tuple(labels), pos)
+    points = EuclideanPoints(1) if labels is None else FinitePoints(tuple(labels), positions)
     return ConeMetricSpace(cone, points, metric)
 
 
@@ -63,9 +55,6 @@ def make_lifted_space(m: int, cone: PolyhedralCone, w, base: str = "euclidean") 
     ``w`` must be a nonzero cone element; rho is the euclidean or discrete
     base metric on the points.
     """
-    w = cone.space.as_vector(w)
-    if not cone_contains(cone, w):
-        raise ContractViolationError("lift weight must be a cone element")
     return ConeMetricSpace(cone, EuclideanPoints(m), LiftedMetric(base, w))
 
 
@@ -73,11 +62,7 @@ def make_finite_lifted_space(
     labels, positions, cone: PolyhedralCone, w, base: str = "euclidean"
 ) -> ConeMetricSpace:
     """Finite-label variant of :func:`make_lifted_space`."""
-    w = cone.space.as_vector(w)
-    if not cone_contains(cone, w):
-        raise ContractViolationError("lift weight must be a cone element")
-    points = FinitePoints(tuple(labels), positions)
-    return ConeMetricSpace(cone, points, LiftedMetric(base, w))
+    return ConeMetricSpace(cone, FinitePoints(tuple(labels), positions), LiftedMetric(base, w))
 
 
 def skewed_cone_2d(k: float = 1.6) -> PolyhedralCone:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conefix.cli import main
+from conefix.problemfile import parse_problem_file
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -114,6 +115,10 @@ BAD_STRUCTURE = [
     ("per_pair", ("space", "metric", "entries"), [["a", "zz", [1.0]]], "space.metric.entries.0"),
     ("banach_scalar", ("coefficients",), {"kind": "per_pair", "table": [{"x": "a", "y": "b", **ZERO_OPS_2D}]},
      "coefficients.table.0.x"),
+    ("banach_scalar", ("mapping",), {"kind": "table", "table": {"a": "a"}}, "mapping.table"),
+    # positions only for the point labels, whatever their length
+    ("finite_ladder", ("space", "metric", "positions", "zz"), [5.0], "space.metric.positions.zz"),
+    ("finite_ladder", ("space", "metric", "positions", "zz"), [5.0, 1.0], "space.metric.positions.zz"),
 ]
 
 # (path to an array key of banach_scalar.json, command); the key holds [1e400]
@@ -209,6 +214,21 @@ class TestExitCodes:
         assert code == 2
         assert f"\nerror={'.'.join(keys)}: expected finite array entries" in out
 
+    def test_table_metric_missing_a_pair_is_input_error(self, tmp_path):
+        # finite_ladder.json with its metric written out as a table that lacks (p03, p04)
+        doc = json.loads((PROBLEMS / "finite_ladder.json").read_text())
+        space = parse_problem_file(PROBLEMS / "finite_ladder.json").space
+        labels = sorted(space.labels)
+        entries = [[x, y, space.d(x, y).tolist()] for x in labels for y in labels if x < y]
+        entries.remove(["p03", "p04", space.d("p03", "p04").tolist()])
+        doc["space"]["metric"] = {"kind": "table", "labels": labels, "entries": entries}
+        doc["solve"]["beta"] = 0.5
+        path = write_problem(tmp_path, doc)
+        for argv in (["validate"], ["check"], ["solve"], ["solve", "--force"]):
+            code, out = run_cli([argv[0], path, "--output", "machine", *argv[1:]])
+            assert code == 2, argv
+            assert "\nerror=space: metric table has no entry for (p03, p04)\n" in out
+
     def test_per_pair_table_problem_solves(self, tmp_path):
         path = write_problem(tmp_path, per_pair_doc())
         code, out = run_cli(["solve", path, "--audit-gap", "3", "--output", "machine"])
@@ -221,6 +241,12 @@ class TestExitCodes:
             main(["check", str(PROBLEMS / "banach_scalar.json"), "--seed", seed])
         assert exc.value.code == 2
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+    def test_negative_audit_gap_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(PROBLEMS / "finite_ladder.json"), "--audit-gap", "-1"])
+        assert exc.value.code == 2
+        assert "audit-gap must be a nonnegative integer" in capsys.readouterr().err
 
     def test_negative_instances_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

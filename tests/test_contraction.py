@@ -114,6 +114,11 @@ class TestContractionResidual:
             assert np.allclose(r, (q * rho - rho_t) * np.array([1.0, 2.0]), atol=1e-12)
             assert cone_contains(orthant2_two, r, 1e-12)
 
+    def test_table_mapping_needs_finite_points(self, orthant2_two):
+        space = make_lifted_space(1, orthant2_two, [1.0, 2.0])
+        with pytest.raises(ContractViolationError, match="finite point sets only"):
+            TableMapping({"a": "a"}).apply(space, [0.0])
+
     def test_handcrafted_violation(self, orthant2_inf):
         # swap map with a leading coefficient too small to dominate
         space = two_point_space(orthant2_inf)

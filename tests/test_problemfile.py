@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conefix import ConefixError, ProblemFileError
+from conefix import ConefixError, FinitePoints, ProblemFileError
 from conefix.problemfile import parse_problem_text
 
 
@@ -164,6 +164,10 @@ class TestStrictness:
         doc["space"]["metric"]["positions"] = {"a": [0.0], "b": b}
         with pytest.raises(ConefixError, match="one common dimension"):
             parse(doc)
+
+    def test_positions_of_unknown_labels_rejected(self):
+        with pytest.raises(ConefixError, match=r"unknown labels \['zz'\]"):
+            FinitePoints(("a", "b"), {"a": [0.0], "b": [1.0], "zz": [5.0]})
 
     def test_non_finite_position_names_its_label(self):
         doc = base_doc()

@@ -184,6 +184,12 @@ class TestVerifyProofBounds:
         assert audit.passed
         assert audit.step_checks == 0 and audit.gap_checks == 0
 
+    def test_negative_gap_cap_is_refused(self):
+        space = make_scalar_space()
+        trace = IterationTrace([[0.0], [1.0], [1.5]], [1.0, 0.5])
+        with pytest.raises(ContractViolationError, match="max_gap >= 0"):
+            verify_proof_bounds(space, trace, 1.0, 0.5, max_gap=-1)
+
     def test_gap_cap_respected(self, orthant2_two):
         space = make_lifted_space(1, orthant2_two, [1.0, 1.0])
         mapping = AffineMapping([[0.5]], [1.0])
