@@ -41,14 +41,7 @@ from .errors import (
     ProblemFileError,
     UnsupportedError,
 )
-from .linops import (
-    LinearOperator,
-    induced_norm,
-    invariance_check,
-    operator_norm,
-    resolvent,
-    s_operator,
-)
+from .linops import LinearOperator, induced_norm, invariance_check, resolvent_stack
 from .solver import (
     BoundAudit,
     ConvergenceCertificate,

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .cones import DEFAULT_MEMBERSHIP_TOL, check_declared_normal_constant, validate_cone
-from .contraction import CONDITIONS, check_hypotheses, check_metric_axioms
+from .contraction import CONDITIONS, TableMetric, check_hypotheses, check_metric_axioms
 from .errors import ConefixError, NonConvergenceError, ProblemFileError
 from .problemfile import parse_problem_file
 from .solver import picard_solve, probe_open_problem, verify_proof_bounds
@@ -65,8 +65,16 @@ def _witness_entries(report, sig_point):
 
 
 def _run_check(problem, args):
-    """Audit the declared normal constant, then sweep the hypotheses."""
+    """Audit the declared normal constant and a table metric's axioms, then sweep the hypotheses.
+
+    A lifted metric is a cone metric by construction; a table is only one
+    if it passes the axiom sweep that ``validate`` runs.
+    """
     check_declared_normal_constant(problem.space.cone, n_samples=AUDIT_SAMPLES, seed=args.seed)
+    if isinstance(problem.space.metric, TableMetric):
+        axioms = check_metric_axioms(problem.space, seed=args.seed, tol=args.tol)
+        if not axioms.passed:
+            raise ProblemFileError(axioms.messages[0], "space.metric")
     source = problem.check.pair_source
     if source == "all" and not problem.space.is_finite:
         source = ("sampled", 200, args.seed)

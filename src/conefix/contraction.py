@@ -390,31 +390,51 @@ class ConstantCoefficients:
 
     is_constant = True
 
-    def at(self, x, y):
-        return (self.a1, self.a2, self.a3, self.a4)
+    def at(self, x, y) -> np.ndarray:
+        return np.array([self.a1.matrix, self.a2.matrix, self.a3.matrix, self.a4.matrix])
 
 
 @dataclass(eq=False)
 class PerPairCoefficients:
-    """Operator quadruples given per ordered label pair."""
+    """Coefficient matrices given per ordered label pair.
 
-    table: dict[tuple[str, str], tuple]
+    ``table`` maps each pair ``(x, y)`` to its ``(4, p, p)`` array-like of
+    ``A1..A4``.  The constructor stores them as one ``(Q, 4, p, p)`` float
+    array, ``stack``, with ``rows`` mapping a pair to its row; a table that
+    is empty, not of ``(4, p, p)`` arrays or not finite is refused.
+    """
 
-    def at(self, x, y):
-        key = (x, y)
-        if key not in self.table:
-            raise ContractViolationError(f"no coefficients declared for pair {key}")
-        return self.table[key]
+    table: dict[tuple[str, str], object]
+    stack: np.ndarray = field(init=False, repr=False)
+    rows: dict[tuple[str, str], int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not self.table:
+            raise ContractViolationError("per-pair coefficient table is empty")
+        self.stack = np.array(list(self.table.values()), dtype=float)
+        shape = self.stack.shape
+        if len(shape) != 4 or shape[1] != 4 or shape[2] != shape[3]:
+            raise ContractViolationError(
+                f"per-pair coefficients must be (4, p, p) arrays, got shape {shape[1:]}"
+            )
+        if not np.isfinite(self.stack).all():
+            raise ContractViolationError("per-pair coefficients have non-finite entries")
+        self.rows = {pair: i for i, pair in enumerate(self.table)}
+
+    def at(self, x, y) -> np.ndarray:
+        if (x, y) not in self.rows:
+            raise ContractViolationError(f"no coefficients declared for pair {(x, y)}")
+        return self.stack[self.rows[(x, y)]]
 
 
 @dataclass(eq=False)
 class CallableCoefficients:
-    """Operator quadruples produced by a user callback ``fn(x, y)``."""
+    """Coefficient matrices produced by a user callback ``fn(x, y)`` returning ``A1..A4``."""
 
     fn: Callable
 
-    def at(self, x, y):
-        return self.fn(x, y)
+    def at(self, x, y) -> np.ndarray:
+        return np.asarray(self.fn(x, y), dtype=float)
 
 
 def reduce_scalar(a1: float, a2: float, a3: float, a4: float) -> ConstantCoefficients:
@@ -448,7 +468,7 @@ def contraction_residual(space: ConeMetricSpace, mapping, coeffs, x, y) -> np.nd
     """
     x = space.check_point(x)
     y = space.check_point(y)
-    return _residual(space, mapping, [op.matrix for op in coeffs.at(x, y)], x, y)
+    return _residual(space, mapping, coeffs.at(x, y), x, y)
 
 
 def _residual(space: ConeMetricSpace, mapping, quad, x, y) -> np.ndarray:
@@ -633,10 +653,11 @@ def check_hypotheses(
     # quadruple q serves sweep position q; a constant family's one serves all
     count = 1 if getattr(coeffs, "is_constant", False) else n_pairs
     p = cone.space.dim
-    mats = [op.matrix for q in range(count) for op in coeffs.at(*pair_at(q))]
-    if any(m.shape != (p, p) for m in mats):
+    stack = np.array([coeffs.at(*pair_at(q)) for q in range(count)], dtype=float)
+    if stack.shape != (count, 4, p, p):
         raise ContractViolationError("operator and cone live in different dimensions")
-    stack = np.array(mats).reshape(count, 4, p, p)
+    if not np.isfinite(stack).all():  # a callback's matrices are checked nowhere else
+        raise ContractViolationError("coefficients have non-finite entries")
     alphas, flags, s_norms, i5_detail = _operator_stats(stack, cone, tol)
 
     if exhaustive:

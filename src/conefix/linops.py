@@ -1,4 +1,4 @@
-"""Linear operators on the ambient space: norms, cone invariance, resolvents.
+"""Matrices on the ambient space: norms, cone invariance, resolvents.
 
 Induced operator norms are closed forms: column and row sums for the
 one/infinity/weighted norms, the largest singular value for the two norm.
@@ -6,7 +6,9 @@ The resolvent ``(I - A3 - A4)^{-1}`` is certified rather than assumed: it is
 computed by a direct solve, its residuals are verified against the requested
 tolerance, and the Banach lemma turns the residual into a bound on the
 distance to the true inverse.  The norms, the invariance test and the
-resolvent work on stacks ``(..., p, p)`` of matrices, entry by entry.
+resolvent work on stacks ``(..., p, p)`` of plain float matrices, entry by
+entry; :class:`LinearOperator` is only the checked record of one matrix and
+its space that :class:`~conefix.contraction.ConstantCoefficients` holds.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ RESOLVENT_AGREE_TOL = 1e-8
 
 @dataclass(eq=False)
 class LinearOperator:
-    """Square real matrix acting on a :class:`NormedSpace`."""
+    """Square real matrix acting on a :class:`NormedSpace`, checked to be finite and ``(p, p)``."""
 
     matrix: np.ndarray
     space: NormedSpace
@@ -37,30 +39,6 @@ class LinearOperator:
             )
         if not np.all(np.isfinite(self.matrix)):
             raise ContractViolationError("operator has non-finite entries")
-
-    @classmethod
-    def identity(cls, space: NormedSpace) -> "LinearOperator":
-        return cls(np.eye(space.dim), space)
-
-    @classmethod
-    def zero(cls, space: NormedSpace) -> "LinearOperator":
-        return cls(np.zeros((space.dim, space.dim)), space)
-
-    @classmethod
-    def scaling(cls, space: NormedSpace, factor: float) -> "LinearOperator":
-        return cls(float(factor) * np.eye(space.dim), space)
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        self._check_same_space(other)
-        return LinearOperator(self.matrix + other.matrix, self.space)
-
-    def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        self._check_same_space(other)
-        return LinearOperator(self.matrix @ other.matrix, self.space)
-
-    def _check_same_space(self, other: "LinearOperator") -> None:
-        if other.space.dim != self.space.dim:
-            raise ContractViolationError("operators act on different spaces")
 
 
 def induced_norm(matrix, space: NormedSpace):
@@ -80,18 +58,13 @@ def induced_norm(matrix, space: NormedSpace):
     return np.linalg.svd(m, compute_uv=False)[..., 0]
 
 
-def operator_norm(op: LinearOperator) -> float:
-    """Induced norm of the operator in its space's norm."""
-    return float(induced_norm(op.matrix, op.space))
-
-
-def invariance_check(op, cone: PolyhedralCone, tol: float = DEFAULT_MEMBERSHIP_TOL):
-    """Whether the operator, or each matrix of a stack ``(..., p, p)``, maps the cone into itself.
+def invariance_check(matrix, cone: PolyhedralCone, tol: float = DEFAULT_MEMBERSHIP_TOL):
+    """Whether the matrix, or each matrix of a stack ``(..., p, p)``, maps the cone into itself.
 
     By linearity it is enough to check the images of the generators, so the
     test is exact for polyhedral cones up to the membership tolerance.
     """
-    m = op.matrix if isinstance(op, LinearOperator) else np.asarray(op, dtype=float)
+    m = np.asarray(matrix, dtype=float)
     if m.shape[-1] != cone.space.dim:
         raise ContractViolationError("operator and cone live in different dimensions")
     images = (m[..., None, :, :] @ cone.generators[..., None])[..., 0]
@@ -101,10 +74,19 @@ def invariance_check(op, cone: PolyhedralCone, tol: float = DEFAULT_MEMBERSHIP_T
 def resolvent_stack(m3, m4, space: NormedSpace, tol: float = RESOLVENT_AGREE_TOL):
     """Certified inverses of ``I - A3 - A4`` for stacks ``(..., p, p)`` of ``A3`` and ``A4``.
 
-    Each entry is certified as :func:`resolvent` describes.  Returns the
-    inverses, NaN where an entry cannot be certified, and the error
-    :func:`resolvent` raises for the first such entry in C order (None when
-    every entry is certified).
+    Precondition, entry by entry: ``norm(A3) + norm(A4) < 1`` in the ambient
+    induced norm (the certifying sufficient condition for invertibility).
+    Each inverse is computed by direct solve and must leave residuals
+    ``r1 = norm((I-A3-A4) X - I)`` and ``r2 = norm(X (I-A3-A4) - I)`` below
+    ``tol``.  By the Banach lemma, ``r1 < 1`` gives
+    ``norm(X - (I-A3-A4)^{-1}) <= norm(X) r1 / (1 - r1)``, and that bound
+    must be within ``tol`` relative to ``max(1, norm(X))``.
+
+    Returns the inverses, NaN where an entry cannot be certified, and the
+    error for the first such entry in C order (None when every entry is
+    certified): a :class:`HypothesisFailureError` for condition ``i1`` when
+    the precondition fails, a :class:`NumericError` when a residual or the
+    Banach-lemma bound misses ``tol``.
     """
     eye = np.eye(space.dim)
     sum_norms = induced_norm(m3, space) + induced_norm(m4, space)
@@ -134,37 +116,3 @@ def resolvent_stack(m3, m4, space: NormedSpace, tol: float = RESOLVENT_AGREE_TOL
     return inv, NumericError(
         f"Banach-lemma error bound for residual {r1[q]:.3e} exceeds tolerance {tol:.3e}"
     )
-
-
-def resolvent(a3: LinearOperator, a4: LinearOperator, tol: float = RESOLVENT_AGREE_TOL) -> LinearOperator:
-    """Certified inverse of ``I - A3 - A4``.
-
-    Precondition: ``norm(A3) + norm(A4) < 1`` in the ambient induced norm
-    (the certifying sufficient condition for invertibility).  The inverse is
-    computed by direct solve and must leave residuals
-    ``r1 = norm((I-A3-A4) X - I)`` and ``r2 = norm(X (I-A3-A4) - I)`` below
-    ``tol``.  By the Banach lemma, ``r1 < 1`` gives
-    ``norm(X - (I-A3-A4)^{-1}) <= norm(X) r1 / (1 - r1)``, and that bound
-    must be within ``tol`` relative to ``max(1, norm(X))``.
-    """
-    a3._check_same_space(a4)
-    inv, error = resolvent_stack(a3.matrix, a4.matrix, a3.space, tol)
-    if error is not None:
-        raise error
-    return LinearOperator(inv, a3.space)
-
-
-def s_operator(
-    a1: LinearOperator,
-    a2: LinearOperator,
-    a3: LinearOperator,
-    a4: LinearOperator,
-    tol: float = RESOLVENT_AGREE_TOL,
-) -> LinearOperator:
-    """Composite operator ``(I - A3 - A4)^{-1} (A1 + A2 + A4)``.
-
-    Its induced norm staying below 1 is what drives geometric convergence of
-    the iteration, so this is the quantity the hypothesis checker bounds.
-    """
-    inv = resolvent(a3, a4, tol)
-    return inv @ (a1 + a2 + a4)

@@ -7,9 +7,10 @@ must have.  A section with a ``kind`` has one table per kind (:class:`Kinds`),
 so a key of another kind is an unknown key.  One walker, :func:`_section`,
 checks that a block is an object, refuses unknown and missing keys, converts
 and checks each value, fills in defaults and names the dotted key path in
-every error.  The values of ``dim``, ``m``, ``norm`` and ``labels`` fix the
-shapes, operators and labels of the keys after them.  The ``_build_*``
-functions only make the space, mapping and coefficients from checked values.
+every error.  The values of ``dim``, ``m`` and ``labels`` fix the shapes and
+labels of the keys after them.  The ``_build_*`` functions only make the
+space, mapping and coefficients from checked values; coefficient matrices
+stay plain float arrays.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class Kinds(dict):
 
 
 #: Keys whose values later keys of the document are checked against.
-BOUND = frozenset({"dim", "m", "norm", "labels"})
+BOUND = frozenset({"dim", "m", "labels"})
 SIGNS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
 
 
@@ -168,10 +169,6 @@ def _array(value, path, key, dims):
     if not np.isfinite(arr).all():
         raise ProblemFileError("expected finite array entries", path)
     return arr
-
-
-def _operator(value, path, key, dims):
-    return LinearOperator(_array(value, path, key, dims), dims["norm"])
 
 
 def _norm(value, path, key, dims):
@@ -280,7 +277,7 @@ WEIGHTED = {"weighted": Key(_array, shape=("dim",))}
 LIFTED = {"base": Key(_label), "weight": Key(_array, shape=("dim",))}
 LIFTED_OVER_LABELS = {**LIFTED, "labels": Key(_labels), "positions": Key(_positions, required=False)}
 LIFTED_OVER_RM = {**LIFTED, "m": Key(_int, sign="positive")}
-OPERATORS = {name: Key(_operator, shape=("dim", "dim")) for name in ("A1", "A2", "A3", "A4")}
+OPERATORS = {name: Key(_array, shape=("dim", "dim")) for name in ("A1", "A2", "A3", "A4")}
 CHECK = {
     "pair_source": Key(_pair_source, required=False, default="all"),
     "tol": Key(_number, required=False),
@@ -355,12 +352,15 @@ def _build_mapping(values):
     return AffineMapping(values["B"], values["c"])
 
 
-def _build_coefficients(values):
+def _build_coefficients(values, norm):
     if values["kind"] == "constant":
-        return ConstantCoefficients(*(values[name] for name in OPERATORS))
-    return PerPairCoefficients(
-        {pair: tuple(row[name] for name in OPERATORS) for pair, row in values["table"].items()}
-    )
+        return ConstantCoefficients(*(LinearOperator(values[name], norm) for name in OPERATORS))
+    try:
+        return PerPairCoefficients(
+            {pair: [row[name] for name in OPERATORS] for pair, row in values["table"].items()}
+        )
+    except ConefixError as exc:
+        raise ProblemFileError(str(exc), "coefficients.table") from None
 
 
 def _reject_constant(token):
@@ -378,7 +378,7 @@ def parse_problem_text(text: str) -> Problem:
     return Problem(
         space=space,
         mapping=None if mapping is None else _build_mapping(mapping),
-        coeffs=None if coeffs is None else _build_coefficients(coeffs),
+        coeffs=None if coeffs is None else _build_coefficients(coeffs, space.cone.space),
         solve=None if solve is None else SimpleNamespace(**solve),
         check=SimpleNamespace(**(top["check"] or _section({}, CHECK, "check", {}))),
     )

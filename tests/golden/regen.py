@@ -3,6 +3,9 @@
 Run from the repository root after an intentional output change:
 
     python3 tests/golden/regen.py
+
+``CASES`` is the one list of golden reports and the command lines that
+make them; the golden tests read it from here.
 """
 
 import io
@@ -25,6 +28,10 @@ CASES = {
     "probe_small.txt": [
         "probe", "--k", "2", "--alpha-min", "0.5", "--alpha-max", "0.9",
         "--instances", "5", "--seed", "3", "--output", "machine",
+    ],
+    "check_finite_pairwise.txt": ["check", "problems/finite_pairwise.json", "--output", "machine"],
+    "solve_finite_pairwise.txt": [
+        "solve", "problems/finite_pairwise.json", "--audit-gap", "5", "--output", "machine",
     ],
 }
 

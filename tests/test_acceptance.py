@@ -40,6 +40,7 @@ from conefix import (
     verify_proof_bounds,
 )
 from conefix.cli import main as cli_main
+from golden.regen import CASES as GOLDEN_CASES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -113,12 +114,8 @@ def _affine_instances():
         mapping = AffineMapping(b, c)
         q = min(0.88, 1.02 * s)
         sp = cone.space
-        coeffs = ConstantCoefficients(
-            LinearOperator(q * np.eye(2), sp),
-            LinearOperator.zero(sp),
-            LinearOperator.zero(sp),
-            LinearOperator.zero(sp),
-        )
+        zero = LinearOperator(np.zeros((2, 2)), sp)
+        coeffs = ConstantCoefficients(LinearOperator(q * np.eye(2), sp), zero, zero, zero)
         x0 = rng.uniform(-8.0, 8.0, 2)
         out.append((space, mapping, coeffs, q, x0))
     return out
@@ -188,7 +185,7 @@ def test_criterion_5_uniqueness(certified_batch):
         identity = TableMapping({"a": "a", "b": "b"})
         from conefix.testbed import FiniteInstance
 
-        zero = LinearOperator.zero(cone.space)
+        zero = LinearOperator(np.zeros((2, 2)), cone.space)
         inst = FiniteInstance(
             space, identity, ConstantCoefficients(LinearOperator(0.5 * np.eye(2), cone.space), zero, zero, zero)
         )
@@ -291,14 +288,7 @@ def _run_cli(argv):
 def test_criterion_8_cli_determinism(monkeypatch):
     with criterion(8, "check and solve reports are byte-identical and match the goldens"):
         monkeypatch.chdir(REPO_ROOT)
-        cases = {
-            "check_banach_scalar.txt": ["check", "problems/banach_scalar.json", "--output", "machine"],
-            "solve_banach_scalar.txt": ["solve", "problems/banach_scalar.json", "--output", "machine"],
-            "check_finite_ladder.txt": ["check", "problems/finite_ladder.json", "--output", "machine"],
-            "solve_finite_ladder.txt": [
-                "solve", "problems/finite_ladder.json", "--audit-gap", "5", "--output", "machine",
-            ],
-        }
+        cases = {name: argv for name, argv in GOLDEN_CASES.items() if argv[0] in ("check", "solve")}
         for name, argv in cases.items():
             code1, out1 = _run_cli(argv)
             code2, out2 = _run_cli(argv)

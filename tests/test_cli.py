@@ -12,6 +12,7 @@ import pytest
 
 from conefix.cli import main
 from conefix.problemfile import parse_problem_file
+from golden.regen import CASES as GOLDEN_CASES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -94,6 +95,7 @@ BAD_STRUCTURE = [
     ("finite_ladder", ("space", "norm"), {}, "space.norm"),
     ("finite_ladder", ("check",), {"pair_source": {}}, "check.pair_source"),
     ("per_pair", ("coefficients", "table"), 5, "coefficients.table"),
+    ("per_pair", ("coefficients", "table"), [], "coefficients.table"),
     ("per_pair", ("space", "metric", "entries"), 5, "space.metric.entries"),
     ("per_pair", ("space", "metric", "labels"), None, "space.metric.labels"),
     # keys that belong to another kind of the same section
@@ -228,6 +230,28 @@ class TestExitCodes:
             code, out = run_cli([argv[0], path, "--output", "machine", *argv[1:]])
             assert code == 2, argv
             assert "\nerror=space: metric table has no entry for (p03, p04)\n" in out
+
+    def test_table_metric_breaking_the_triangle_is_input_error(self, tmp_path):
+        # d(a, c) = 10 > d(a, b) + d(b, c) = 1.1: a certificate on this table
+        # promises a tail bound that the audit then finds broken
+        doc = per_pair_doc()
+        doc["space"]["metric"] = {
+            "kind": "table",
+            "labels": ["a", "b", "c"],
+            "entries": [["a", "b", [1.0]], ["b", "c", [0.1]], ["a", "c", [10.0]]],
+        }
+        doc["mapping"]["table"] = {"a": "b", "b": "c", "c": "c"}
+        doc["coefficients"] = {"kind": "constant", "A1": [[0.1]], "A2": [[0.0]], "A3": [[0.0]], "A4": [[0.0]]}
+        doc["solve"] = {"x0": "a", "eps": 1e-8, "beta": 0.1}
+        path = write_problem(tmp_path, doc)
+        for argv in (["validate"], ["check"], ["solve"], ["solve", "--audit-gap", "3"]):
+            code, out = run_cli([argv[0], path, "--output", "machine", *argv[1:]])
+            assert code == 2, argv
+            assert "axiom (c): triangle slack for (a, b, c) leaves the cone" in out
+        assert "\nerror=space.metric: axiom (c): triangle slack for (a, b, c) leaves the cone\n" in out
+        # --force checks nothing, the metric included
+        code, out = run_cli(["solve", path, "--force", "--output", "machine"])
+        assert code == 0 and "point=c" in out
 
     def test_per_pair_table_problem_solves(self, tmp_path):
         path = write_problem(tmp_path, per_pair_doc())
@@ -435,25 +459,7 @@ class TestExitCodes:
 
 
 class TestDeterminismAndGolden:
-    @pytest.mark.parametrize(
-        "name,argv",
-        [
-            ("check_banach_scalar.txt", ["check", "problems/banach_scalar.json", "--output", "machine"]),
-            ("solve_banach_scalar.txt", ["solve", "problems/banach_scalar.json", "--output", "machine"]),
-            ("check_finite_ladder.txt", ["check", "problems/finite_ladder.json", "--output", "machine"]),
-            (
-                "solve_finite_ladder.txt",
-                ["solve", "problems/finite_ladder.json", "--audit-gap", "5", "--output", "machine"],
-            ),
-            (
-                "probe_small.txt",
-                [
-                    "probe", "--k", "2", "--alpha-min", "0.5", "--alpha-max", "0.9",
-                    "--instances", "5", "--seed", "3", "--output", "machine",
-                ],
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("name,argv", list(GOLDEN_CASES.items()))
     def test_byte_identical_to_golden(self, name, argv, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         code1, out1 = run_cli(argv)

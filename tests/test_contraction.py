@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conefix import (
     AffineMapping,
+    CallableCoefficients,
     ConeMetricSpace,
     ConstantCoefficients,
     ContractViolationError,
@@ -20,6 +21,7 @@ from conefix import (
     check_metric_axioms,
     cone_contains,
     contraction_residual,
+    induced_norm,
     make_finite_lifted_space,
     make_lifted_space,
     make_scalar_space,
@@ -153,7 +155,7 @@ class TestCheckHypotheses:
     def test_negative_a4_fails_i4_with_witness(self, orthant2_inf):
         space = two_point_space(orthant2_inf)
         mapping = TableMapping({"a": "a", "b": "a"})
-        zero = LinearOperator.zero(orthant2_inf.space)
+        zero = LinearOperator(np.zeros((2, 2)), orthant2_inf.space)
         a4 = LinearOperator(np.array([[0.0, 0.0], [-0.1, 0.0]]), orthant2_inf.space)
         coeffs = ConstantCoefficients(
             LinearOperator(0.3 * np.eye(2), orthant2_inf.space), zero, zero, a4
@@ -193,6 +195,20 @@ class TestCheckHypotheses:
         assert report.alpha == pytest.approx(0.6, abs=1e-12)
         assert report.alpha_pair == ("b", "a")
 
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            ({}, "table is empty"),
+            ({("a", "a"): np.zeros((3, 2, 2))}, r"must be \(4, p, p\) arrays, got shape \(3, 2, 2\)"),
+            ({("a", "a"): np.zeros((4, 2, 3))}, r"got shape \(4, 2, 3\)"),
+            ({("a", "a"): np.zeros((4, 2, 2)), ("a", "b"): np.full((4, 2, 2), np.inf)}, "non-finite"),
+        ],
+        ids=["empty", "three", "not-square", "inf"],
+    )
+    def test_per_pair_table_refused(self, table, message):
+        with pytest.raises(ContractViolationError, match=message):
+            PerPairCoefficients(table)
+
     def test_callable_coefficients(self, orthant2_inf):
         from conefix import CallableCoefficients
 
@@ -207,6 +223,14 @@ class TestCheckHypotheses:
         assert report.passed
         assert report.alpha == pytest.approx(0.5, abs=1e-12)
         assert report.alpha_pair[0] == "b"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_callable_non_finite_coefficients_refused(self, value):
+        space = make_scalar_space(labels=("a", "b"), positions={"a": [0.0], "b": [1.0]})
+        mapping = TableMapping({"a": "a", "b": "a"})
+        coeffs = CallableCoefficients(lambda x, y: [[[value if x == "b" else 0.1]], [[0.0]], [[0.0]], [[0.0]]])
+        with pytest.raises(ContractViolationError, match="coefficients have non-finite entries"):
+            check_hypotheses(space, mapping, coeffs)
 
     def test_declaration_mismatch_flagged(self):
         space = make_scalar_space(labels=("a", "b"), positions={"a": [0.0], "b": [1.0]})
@@ -238,10 +262,8 @@ class TestCheckHypotheses:
 class TestReduceScalar:
     def test_norms_are_exact(self):
         coeffs = reduce_scalar(0.5, 0.0, 0.0, 0.0)
-        from conefix import operator_norm
-
-        assert operator_norm(coeffs.a1) == 0.5
-        assert operator_norm(coeffs.a2) == 0.0
+        norms = induced_norm(coeffs.at("a", "b"), coeffs.a1.space)
+        assert norms.tolist() == [0.5, 0.0, 0.0, 0.0]
 
     def test_negative_rejected(self):
         with pytest.raises(ContractViolationError):

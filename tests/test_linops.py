@@ -4,20 +4,14 @@ import numpy as np
 import pytest
 
 from conefix import (
-    ConefixError,
-    ContractViolationError,
     HypothesisFailureError,
-    LinearOperator,
     NormedSpace,
     induced_norm,
     invariance_check,
-    operator_norm,
     orthant,
     reduce_scalar,
-    resolvent,
-    s_operator,
+    resolvent_stack,
 )
-from conefix.linops import resolvent_stack
 
 SPACES = [
     NormedSpace(3, "one"),
@@ -47,11 +41,24 @@ def sampling_norm_oracle(matrix, space, n=4000, seed=0):
     return best
 
 
+def resolvent_of_one(m3, m4, space):
+    """``resolvent_stack`` on a stack of one ``A3``, ``A4``; its inverse and its error."""
+    inv, error = resolvent_stack(np.asarray(m3, dtype=float)[None], np.asarray(m4, dtype=float)[None], space)
+    return inv[0], error
+
+
+def composite(a1, a2, a3, a4, space):
+    """``(I - A3 - A4)^{-1} (A1 + A2 + A4)``, the operator whose norm is beta."""
+    inv, error = resolvent_of_one(a3, a4, space)
+    assert error is None
+    return inv @ (a1 + a2 + a4)
+
+
 class TestOperatorNorm:
     @pytest.mark.parametrize("kind", ["one", "two", "infinity"])
     def test_identity_norm_is_one(self, kind):
         space = NormedSpace(3, kind)
-        assert operator_norm(LinearOperator.identity(space)) == pytest.approx(1.0, abs=1e-12)
+        assert induced_norm(np.eye(3), space) == pytest.approx(1.0, abs=1e-12)
 
     def test_diag_infinity_norm_with_oracle(self):
         space = NormedSpace(2, "infinity")
@@ -105,9 +112,9 @@ class TestOperatorNorm:
     def test_submultiplicative(self, rng):
         space = NormedSpace(3, "infinity")
         for _ in range(20):
-            a = LinearOperator(rng.normal(size=(3, 3)), space)
-            b = LinearOperator(rng.normal(size=(3, 3)), space)
-            assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) * (1 + 1e-9)
+            a = rng.normal(size=(3, 3))
+            b = rng.normal(size=(3, 3))
+            assert induced_norm(a @ b, space) <= induced_norm(a, space) * induced_norm(b, space) * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda space: space.kind)
@@ -125,7 +132,7 @@ class TestStacks:
         stack = np.random.default_rng(6).uniform(-0.05, 1.0, (6, 4, 3, 3))
         flags = invariance_check(stack, cone)
         assert flags.shape == (6, 4)
-        expected = [[invariance_check(LinearOperator(m, space), cone) for m in row] for row in stack]
+        expected = [[invariance_check(m, cone) for m in row] for row in stack]
         assert flags.tolist() == expected
         assert {True, False} <= set(flags.ravel().tolist())
 
@@ -138,40 +145,51 @@ class TestStacks:
         inv, error = resolvent_stack(m3, m4, space)
         errors = []
         for q in range(8):
-            try:
-                expected = resolvent(LinearOperator(m3[q], space), LinearOperator(m4[q], space))
-            except ConefixError as exc:
+            expected, exc = resolvent_of_one(m3[q], m4[q], space)
+            if exc is not None:
                 errors.append(exc)
-                assert np.isnan(inv[q]).all()
+                assert np.isnan(inv[q]).all() and np.isnan(expected).all()
             else:
-                assert np.array_equal(inv[q], expected.matrix)
+                assert np.array_equal(inv[q], expected)
         assert type(error) is type(errors[0]) and str(error) == str(errors[0])
         assert "cannot certify the resolvent" in str(error)
+
+    def test_resolvent_matches_numpy_inverse(self, space):
+        # an independent reference: numpy's own inverse of I - A3 - A4, on
+        # stacks scaled so that every entry is certified
+        rng = np.random.default_rng(17)
+        m3 = rng.uniform(-1.0, 1.0, (40, 3, 3))
+        m4 = rng.uniform(-1.0, 1.0, (40, 3, 3))
+        sums = induced_norm(m3, space) + induced_norm(m4, space)
+        scale = rng.uniform(0.05, 0.95, 40) / sums
+        m3 *= scale[:, None, None]
+        m4 *= scale[:, None, None]
+        inv, error = resolvent_stack(m3, m4, space)
+        assert error is None
+        expected = np.linalg.inv(np.eye(3) - m3 - m4)
+        diff = induced_norm(inv - expected, space)
+        assert np.all(diff <= 1e-12 * induced_norm(expected, space))
 
 
 class TestInvariance:
     def test_nonnegative_preserves_orthant(self, orthant2_inf, rng):
-        space = orthant2_inf.space
         for _ in range(10):
-            op = LinearOperator(rng.uniform(0, 1, (2, 2)), space)
-            assert invariance_check(op, orthant2_inf)
+            assert invariance_check(rng.uniform(0, 1, (2, 2)), orthant2_inf)
 
     def test_sign_flip_escapes(self, orthant2_inf):
-        op = LinearOperator(np.array([[1.0, 0.0], [0.0, -1.0]]), orthant2_inf.space)
-        assert not invariance_check(op, orthant2_inf)
+        assert not invariance_check(np.array([[1.0, 0.0], [0.0, -1.0]]), orthant2_inf)
 
     def test_rotation_escapes(self, orthant2_inf):
         th = np.radians(10.0)
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         # e2 rotates to (-sin, cos): a facet inner product goes negative
         assert (rot @ np.array([0.0, 1.0]))[0] < 0
-        assert not invariance_check(LinearOperator(rot, orthant2_inf.space), orthant2_inf)
+        assert not invariance_check(rot, orthant2_inf)
 
     def test_closure_under_sum_and_product(self, orthant2_inf, rng):
-        space = orthant2_inf.space
         for _ in range(10):
-            a = LinearOperator(rng.uniform(0, 1, (2, 2)), space)
-            b = LinearOperator(rng.uniform(0, 1, (2, 2)), space)
+            a = rng.uniform(0, 1, (2, 2))
+            b = rng.uniform(0, 1, (2, 2))
             assert invariance_check(a, orthant2_inf) and invariance_check(b, orthant2_inf)
             assert invariance_check(a + b, orthant2_inf)
             assert invariance_check(a @ b, orthant2_inf)
@@ -180,40 +198,39 @@ class TestInvariance:
 class TestResolvent:
     def test_zero_operators_give_identity(self):
         space = NormedSpace(2, "infinity")
-        m = resolvent(LinearOperator.zero(space), LinearOperator.zero(space))
-        assert np.allclose(m.matrix, np.eye(2), atol=1e-12)
+        inv, error = resolvent_of_one(np.zeros((2, 2)), np.zeros((2, 2)), space)
+        assert error is None
+        assert np.allclose(inv, np.eye(2), atol=1e-12)
 
     def test_scalar_case(self):
         space = NormedSpace(1, "two")
-        a3 = LinearOperator([[0.1]], space)
-        a4 = LinearOperator([[0.1]], space)
-        m = resolvent(a3, a4)
-        assert m.matrix[0, 0] == pytest.approx(1.25, abs=1e-12)
+        inv, error = resolvent_of_one([[0.1]], [[0.1]], space)
+        assert error is None
+        assert inv[0, 0] == pytest.approx(1.25, abs=1e-12)
 
     def test_diagonal_case(self):
         space = NormedSpace(2, "infinity")
-        a3 = LinearOperator(np.diag([0.2, 0.0]), space)
-        m = resolvent(a3, LinearOperator.zero(space))
-        assert np.allclose(m.matrix, np.diag([1.25, 1.0]), atol=1e-12)
+        inv, error = resolvent_of_one(np.diag([0.2, 0.0]), np.zeros((2, 2)), space)
+        assert error is None
+        assert np.allclose(inv, np.diag([1.25, 1.0]), atol=1e-12)
 
     def test_precondition_violation_names_condition(self):
         space = NormedSpace(2, "infinity")
-        a3 = LinearOperator(0.6 * np.eye(2), space)
-        a4 = LinearOperator(0.5 * np.eye(2), space)
-        with pytest.raises(HypothesisFailureError) as err:
-            resolvent(a3, a4)
-        assert err.value.condition == "i1"
+        inv, error = resolvent_of_one(0.6 * np.eye(2), 0.5 * np.eye(2), space)
+        assert isinstance(error, HypothesisFailureError)
+        assert error.condition == "i1"
+        assert str(error) == "cannot certify the resolvent: norm(A3) + norm(A4) = 1.1000000000000001 >= 1"
+        assert np.isnan(inv).all()
 
     def test_matches_partial_sums_oracle(self, rng):
         space = NormedSpace(3, "infinity")
         for _ in range(10):
             m3 = rng.uniform(-0.2, 0.2, (3, 3))
             m4 = rng.uniform(-0.2, 0.2, (3, 3))
-            a3 = LinearOperator(m3, space)
-            a4 = LinearOperator(m4, space)
-            if operator_norm(a3) + operator_norm(a4) >= 0.95:
+            if induced_norm(m3, space) + induced_norm(m4, space) >= 0.95:
                 continue
-            inv = resolvent(a3, a4).matrix
+            inv, error = resolvent_of_one(m3, m4, space)
+            assert error is None
             total = np.eye(3)
             term = np.eye(3)
             for _ in range(2000):
@@ -229,7 +246,8 @@ class TestResolvent:
         s = np.random.default_rng(11).uniform(0.1, 1.0, (3, 3))
         s /= s.sum(axis=1, keepdims=True)
         m3, m4 = 0.6 * total * s, 0.4 * total * s
-        inv = resolvent(LinearOperator(m3, space), LinearOperator(m4, space)).matrix
+        inv, error = resolvent_of_one(m3, m4, space)
+        assert error is None
         expected = np.linalg.inv(np.eye(3) - m3 - m4)
         assert induced_norm(inv - expected, space) <= 1e-8 * induced_norm(expected, space)
         assert induced_norm(inv, space) == pytest.approx(1.0 / (1.0 - total), rel=1e-6)
@@ -238,36 +256,36 @@ class TestResolvent:
 class TestSOperator:
     def test_corollary_quotient(self):
         coeffs = reduce_scalar(0.2, 0.1, 0.1, 0.1)
-        s = s_operator(coeffs.a1, coeffs.a2, coeffs.a3, coeffs.a4)
-        assert s.matrix[0, 0] == pytest.approx(0.5, abs=1e-12)
+        s = composite(*coeffs.at("a", "b"), coeffs.a1.space)
+        assert s[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_leading_coefficient_only(self):
         space = NormedSpace(2, "infinity")
         q = 0.7
-        zero = LinearOperator.zero(space)
-        s = s_operator(LinearOperator.scaling(space, q), zero, zero, zero)
-        assert np.allclose(s.matrix, q * np.eye(2), atol=1e-12)
+        zero = np.zeros((2, 2))
+        s = composite(q * np.eye(2), zero, zero, zero, space)
+        assert np.allclose(s, q * np.eye(2), atol=1e-12)
 
     def test_all_zero(self):
         space = NormedSpace(2, "infinity")
-        zero = LinearOperator.zero(space)
-        s = s_operator(zero, zero, zero, zero)
-        assert np.allclose(s.matrix, 0.0, atol=1e-12)
+        zero = np.zeros((2, 2))
+        s = composite(zero, zero, zero, zero, space)
+        assert np.allclose(s, 0.0, atol=1e-12)
 
     def test_invariance_follows_from_conditions(self, orthant2_inf, rng):
         # nonnegative quadruples satisfy the three invariance conditions,
         # and then the composite operator preserves the cone too
         space = orthant2_inf.space
         for _ in range(15):
-            a1 = LinearOperator(rng.uniform(-0.15, 0.15, (2, 2)), space)
-            a2 = LinearOperator(rng.uniform(0.0, 0.15, (2, 2)), space)
+            a1 = rng.uniform(-0.15, 0.15, (2, 2))
+            a2 = rng.uniform(0.0, 0.15, (2, 2))
             if not invariance_check(a1 + a2, orthant2_inf):
                 continue  # only the summed condition is required
-            a3 = LinearOperator(rng.uniform(0.0, 0.15, (2, 2)), space)
-            a4 = LinearOperator(rng.uniform(0.0, 0.15, (2, 2)), space)
-            if operator_norm(a3) + operator_norm(a4) >= 0.9:
+            a3 = rng.uniform(0.0, 0.15, (2, 2))
+            a4 = rng.uniform(0.0, 0.15, (2, 2))
+            if induced_norm(a3, space) + induced_norm(a4, space) >= 0.9:
                 continue
-            inv = resolvent(a3, a4)
+            inv, error = resolvent_of_one(a3, a4, space)
+            assert error is None
             assert invariance_check(inv, orthant2_inf)
-            assert invariance_check(s_operator(a1, a2, a3, a4), orthant2_inf)
-
+            assert invariance_check(composite(a1, a2, a3, a4, space), orthant2_inf)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conefix import ConefixError, FinitePoints, ProblemFileError
+from conefix import ConefixError, FinitePoints, LinearOperator, ProblemFileError
 from conefix.problemfile import parse_problem_text
 
 
@@ -79,7 +79,12 @@ class TestParsing:
         assert np.allclose(problem.space.d("a", "b"), [1.0, 1.0])
         assert np.allclose(problem.space.d("b", "a"), [1.0, 1.0])
 
-    def test_per_pair_coefficients(self):
+    def test_per_pair_coefficients(self, monkeypatch):
+        # per-pair rows parse into one float stack, with no operator per matrix
+        def refuse(op):
+            raise AssertionError("a LinearOperator was built")
+
+        monkeypatch.setattr(LinearOperator, "__post_init__", refuse)
         doc = base_doc()
         zero = [[0.0, 0.0], [0.0, 0.0]]
         half = [[0.5, 0.0], [0.0, 0.5]]
@@ -89,7 +94,10 @@ class TestParsing:
                 entries.append({"x": x, "y": y, "A1": half, "A2": zero, "A3": zero, "A4": zero})
         doc["coefficients"] = {"kind": "per_pair", "table": entries}
         problem = parse(doc)
-        assert problem.coeffs.at("a", "b")[0].matrix[0, 0] == 0.5
+        assert problem.coeffs.stack.shape == (4, 4, 2, 2)
+        quad = problem.coeffs.at("a", "b")
+        assert quad.dtype == float and quad.shape == (4, 2, 2)
+        assert quad[0].tolist() == half and quad[1:].tolist() == [zero] * 3
 
     def test_null_optional_number_is_left_out(self):
         doc = base_doc()

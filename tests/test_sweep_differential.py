@@ -17,7 +17,6 @@ import pytest
 from conefix import (
     AffineMapping,
     CallableCoefficients,
-    ConefixError,
     ConeMetricSpace,
     ConstantCoefficients,
     ContractViolationError,
@@ -34,14 +33,13 @@ from conefix import (
     cone_contains,
     contraction_residual,
     generate_certified_instance,
+    induced_norm,
     invariance_check,
     make_lifted_space,
     normal_constant_lower_bound,
-    operator_norm,
     orthant,
     picard_solve,
-    resolvent,
-    s_operator,
+    resolvent_stack,
     skewed_cone_2d,
     verify_proof_bounds,
 )
@@ -72,19 +70,20 @@ def reference_report(space, mapping, coeffs, pairs=None, k=None, tol=TOL):
     failing = 0
     for x, y in pairs:
         a1, a2, a3, a4 = coeffs.at(x, y)
-        norm_sum = sum(operator_norm(op) for op in (a1, a2, a3)) + 2.0 * operator_norm(a4)
+        norm_sum = sum(float(induced_norm(m, cone.space)) for m in (a1, a2, a3))
+        norm_sum += 2.0 * float(induced_norm(a4, cone.space))
         ok = {
             "i3": invariance_check(a1 + a2, cone, tol),
             "hb": invariance_check(a2, cone, tol),
             "i4": invariance_check(a4, cone, tol),
         }
-        try:
-            inv = resolvent(a3, a4)
-            ok["i5"] = invariance_check(inv, cone, tol)
+        inv, error = resolvent_stack(a3[None], a4[None], cone.space)
+        if error is None:
+            ok["i5"] = invariance_check(inv[0], cone, tol)
             i5_detail = "resolvent maps a generator out of the cone"
-            s_norm = operator_norm(s_operator(a1, a2, a3, a4))
-        except ConefixError as exc:
-            ok["i5"], i5_detail, s_norm = False, str(exc), None
+            s_norm = float(induced_norm(inv[0] @ (a1 + a2 + a4), cone.space))
+        else:
+            ok["i5"], i5_detail, s_norm = False, str(error), None
         if norm_sum > alpha:
             alpha, alpha_pair = norm_sum, (point_key(x), point_key(y))
         for name in ("i3", "hb", "i4", "i5"):
@@ -253,17 +252,19 @@ def random_space(rng, cone, metric, n):
 
 
 def random_quad(rng, space, scale):
+    """The ``(4, p, p)`` matrices ``A1..A4`` of one random quadruple."""
     p = space.dim
     # a small negative floor lets the invariance conditions fail sometimes
-    return tuple(
-        LinearOperator(rng.uniform(-0.05, 1.0, (p, p)) * scale * s / p, space)
-        for s in (1.0, 0.3, 0.3, 0.2)
-    )
+    return np.array([rng.uniform(-0.05, 1.0, (p, p)) * scale * s / p for s in (1.0, 0.3, 0.3, 0.2)])
+
+
+def constant(quad, space):
+    return ConstantCoefficients(*(LinearOperator(m, space) for m in quad))
 
 
 def random_coeffs(rng, space, family, labels):
     if family == "constant":
-        return ConstantCoefficients(*random_quad(rng, space, rng.uniform(0.1, 0.9)))
+        return constant(random_quad(rng, space, rng.uniform(0.1, 0.9)), space)
     table = {(x, y): random_quad(rng, space, rng.uniform(0.1, 1.2)) for x in labels for y in labels}
     if family == "per_pair":
         return PerPairCoefficients(table)
@@ -322,7 +323,7 @@ def test_sampled_sweep_matches_per_pair_reference(family):
         mapping = AffineMapping(rng.uniform(-0.9, 0.9, (m, m)) / m, rng.uniform(-1.0, 1.0, m))
         quad = random_quad(rng, cone.space, rng.uniform(0.2, 0.9))
         if family == "constant":
-            coeffs = ConstantCoefficients(*quad)
+            coeffs = constant(quad, cone.space)
         else:
             coeffs = CallableCoefficients(lambda x, y: quad)
         draw = np.random.default_rng(seed + 100)
@@ -367,13 +368,11 @@ def test_singular_quadruple_is_the_i5_witness(orthant2_inf):
     space = random_space(rng, orthant2_inf, "discrete", 4)
     labels = sorted(space.labels)
     table = {
-        (x, y): tuple(LinearOperator(rng.uniform(0.0, 0.1, (2, 2)), orthant2_inf.space) for _ in range(4))
-        for x in labels
-        for y in labels
+        (x, y): [rng.uniform(0.0, 0.1, (2, 2)) for _ in range(4)] for x in labels for y in labels
     }
     pair = (labels[1], labels[2])
     a1, a2, _, _ = table[pair]
-    table[pair] = (a1, a2, LinearOperator.identity(orthant2_inf.space), LinearOperator.zero(orthant2_inf.space))
+    table[pair] = [a1, a2, np.eye(2), np.zeros((2, 2))]
     coeffs = PerPairCoefficients(table)
     mapping = TableMapping({x: labels[0] for x in labels})
     report = check_hypotheses(space, mapping, coeffs, tol=TOL)
@@ -393,9 +392,7 @@ def test_large_space_counts():
     positions = {l: rng.uniform(-1.0, 1.0, 2) for l in labels}
     space = ConeMetricSpace(cone, FinitePoints(labels, positions), LiftedMetric("euclidean", [1.0, 0.5, 2.0]))
     mapping = TableMapping({l: labels[0] for l in labels})
-    coeffs = ConstantCoefficients(
-        *(LinearOperator(a * np.eye(3), cone.space) for a in (0.3, 0.1, 0.1, 0.05))
-    )
+    coeffs = constant([a * np.eye(3) for a in (0.3, 0.1, 0.1, 0.05)], cone.space)
     axioms = check_metric_axioms(space)
     assert axioms.passed
     assert axioms.pairs_checked == n * n and axioms.triples_checked == n**3
@@ -410,7 +407,7 @@ class TestSweepErrors:
     def test_unmapped_label(self, orthant2_inf):
         space = random_space(np.random.default_rng(1), orthant2_inf, "discrete", 3)
         mapping = TableMapping({"q0": "q0", "q1": "q0"})
-        coeffs = ConstantCoefficients(*random_quad(np.random.default_rng(2), orthant2_inf.space, 0.3))
+        coeffs = constant(random_quad(np.random.default_rng(2), orthant2_inf.space, 0.3), orthant2_inf.space)
         with pytest.raises(ContractViolationError, match="not defined at 'q2'"):
             check_hypotheses(space, mapping, coeffs)
 
@@ -428,7 +425,7 @@ class TestSweepErrors:
         # finite distances whose residual overflows still raise in the sweep
         space = ConeMetricSpace(orthant2_inf, points, TableMetric({("a", "b"): [1.7e308, 1.0]}))
         mapping = TableMapping({"a": "a", "b": "a"})
-        coeffs = ConstantCoefficients(*(LinearOperator(0.9 * np.eye(2), orthant2_inf.space),) * 4)
+        coeffs = constant([0.9 * np.eye(2)] * 4, orthant2_inf.space)
         with pytest.raises(ContractViolationError, match=r"residual at \(a, b\) has non-finite"):
             check_hypotheses(space, mapping, coeffs)
 

@@ -84,7 +84,7 @@ class TestBruteForce:
         space = make_finite_lifted_space(labels, positions, cone, [1.0, 1.0])
         from conefix import ConstantCoefficients, LinearOperator
 
-        zero = LinearOperator.zero(cone.space)
+        zero = LinearOperator(np.zeros((2, 2)), cone.space)
         coeffs = ConstantCoefficients(
             LinearOperator(0.5 * np.eye(2), cone.space), zero, zero, zero
         )
@@ -156,6 +156,16 @@ class TestGenerator:
         assert report.passed and report.exhaustive
         assert report.alpha <= 0.9 + 1e-12
         assert report.beta <= 0.9 + 1e-12
+
+    @pytest.mark.parametrize("cone", [orthant(NormedSpace(3, "infinity")), skewed_cone_2d(1.6)],
+                             ids=["orthant3", "skewed"])
+    def test_coefficients_keep_their_operator_fields(self, cone):
+        # the benchmark's batch workload reads coeffs.a1.matrix .. a4.matrix
+        coeffs = generate_certified_instance(4, 5, cone).coeffs
+        p = cone.space.dim
+        mats = [coeffs.a1.matrix, coeffs.a2.matrix, coeffs.a3.matrix, coeffs.a4.matrix]
+        assert all(isinstance(m, np.ndarray) and m.dtype == float and m.shape == (p, p) for m in mats)
+        assert np.array_equal(coeffs.at("p00", "p01"), mats)
 
     def test_deterministic(self, orthant2_inf):
         a = generate_certified_instance(5, 7, orthant2_inf)
