@@ -320,9 +320,19 @@ class ConeMetricSpace:
         raise ContractViolationError(f"distance d({x}, {y}) has non-finite entries")
 
     def image_indices(self, mapping) -> np.ndarray:
-        """``t[i]`` is the place of ``T(order[i])`` in the sorted labels."""
-        index = self.points.index
-        return np.array([index[mapping.apply(self, x)] for x in self.points.order], dtype=np.intp)
+        """``t[i]`` is the place of ``T(order[i])`` in the sorted labels.
+
+        A table mapping is read by dictionary lookups; when one misses, the
+        labels go through ``mapping.apply`` so that it raises what it raises.
+        """
+        index, order = self.points.index, self.points.order
+        if isinstance(mapping, TableMapping):
+            table = mapping.table
+            try:
+                return np.array([index[table[x]] for x in order], dtype=np.intp)
+            except KeyError:
+                pass
+        return np.array([index[mapping.apply(self, x)] for x in order], dtype=np.intp)
 
     def sample_point(self, rng):
         if self.is_finite:
@@ -492,35 +502,147 @@ def _act(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (matrices @ vectors[..., None])[..., 0]
 
 
-def _finite_residuals(space: ConeMetricSpace, mapping, stack) -> np.ndarray:
-    """Contraction residuals at every ordered pair of a finite space, shape (N, N, p).
+def _finite_residuals(space: ConeMetricSpace, t, stack, q) -> np.ndarray:
+    """Contraction residuals at the flat pair positions ``q`` of a finite space, shape (len(q), p).
 
-    ``stack`` is the ``(Q, 4, p, p)`` quadruple stack of the sweep: one
+    ``t`` is :meth:`ConeMetricSpace.image_indices` of the mapping and
+    ``stack`` the ``(Q, 4, p, p)`` quadruple stack of the sweep: one
     quadruple shared by every pair, or one per pair in canonical order.
-    Entry ``[i, j]`` equals :func:`contraction_residual` at
-    ``(order[i], order[j])`` bit for bit.
+    Position ``i * N + j`` is the pair ``(order[i], order[j])``, and its row
+    equals :func:`contraction_residual` there bit for bit.  This is the
+    reference kernel of the exhaustive sweep.
     """
     dist = space.distance_tensor()
-    t = space.image_indices(mapping)
-    n, p = dist.shape[0], dist.shape[2]
-    d_x_tx = dist[np.arange(n), t]  # d(x, Tx)
-    d_x_ty = dist[:, t]  # [i, j]: d(x_i, T x_j)
-    if len(stack) == 1:
-        a1, a2, a3, a4 = stack[0]
-        cross = _act(a4, d_x_ty)
-        cross_t = cross.transpose(1, 0, 2)  # [i, j]: A4 d(x_j, T x_i)
-    else:
-        a1, a2, a3, a4 = stack.reshape(n, n, 4, p, p).transpose(2, 0, 1, 3, 4)
-        cross = _act(a4, d_x_ty)
-        cross_t = _act(a4, d_x_ty.transpose(1, 0, 2))
+    i, j = np.divmod(q, dist.shape[0])
+    ti, tj = t[i], t[j]
+    a1, a2, a3, a4 = (stack[0] if len(stack) == 1 else stack[q]).swapaxes(0, -3)
     return (
-        _act(a1, dist)
-        + _act(a2, d_x_tx[:, None])
-        + _act(a3, d_x_tx[None, :])
-        + cross
-        + cross_t
-        - dist[np.ix_(t, t)]
+        _act(a1, dist[i, j])
+        + _act(a2, dist[i, ti])
+        + _act(a3, dist[j, tj])
+        + _act(a4, dist[i, tj])
+        + _act(a4, dist[j, ti])
+        - dist[ti, tj]
     )
+
+
+#: Relative margin on the evaluation of the rounding band.  Evaluating the
+#: band rounds at most 2p + 16 times, a relative error below 2^-24 because
+#: p <= TABLE_MAX_ELEMENTS = 2^27; the margin covers that and more.
+BAND_MARGIN = 2.0**-20
+
+#: Fewest pairs the fast products are used for.  Their fixed cost (the band
+#: and some twenty array calls) outweighs the per-pair saving on smaller
+#: spaces, which go through the reference kernel on every pair.  Timed on a
+#: 2-core x86 VM (3-D orthant, constant family, one generated ladder per
+#: size): the two paths cost the same at about 81 pairs, and at 4 pairs the
+#: fast products cost 1.6 times the reference.
+FAST_MIN_PAIRS = 100
+
+#: Largest band scale the fast products are used for.  Below it no step of
+#: either evaluation of a facet product can overflow (see
+#: :func:`_facet_products`); at or above it every pair goes through the
+#: reference kernel.
+BAND_SCALE_LIMIT = 2.0**1000
+
+
+def _facet_products(dist, t, quad, facets):
+    """Facet products of every residual under one quadruple ``quad``, and their rounding band.
+
+    Returns ``(products, band)``: ``products[f, i * N + j]`` is the product
+    of facet f with the residual at ``(order[i], order[j])``, and it lies
+    within ``band[f]`` of the product that the reference kernel and
+    :func:`_act` compute (see :func:`check_hypotheses` for the derivation);
+    or ``None`` when the band's scale reaches :data:`BAND_SCALE_LIMIT`.
+
+    Each term takes one BLAS product over all pairs: ``F A_k`` against its
+    distance, and ``F`` against ``d(Tx, Ty)``; ``d(x, Ty) + d(y, Tx)`` is
+    summed before its product.
+
+    Products that underflow add at most ``2^-1075`` each;
+    ``2^-1019 p (p M + rowsum |F|_f + 1)`` covers them all.  The band is
+    evaluated with a relative margin of :data:`BAND_MARGIN`.
+
+    *Overflow.*  Every entry of ``F A_k``, of ``v`` and of ``|F| v`` is at
+    most ``max(p max |F|, 1) (5 p max |A| + 1) max(M, 1)``, and every partial
+    sum of either path at most ``(1 + γ)`` times an entry of ``v``
+    (residuals) or of ``|F| v`` (products).  While that scale stays below
+    :data:`BAND_SCALE_LIMIT`, nothing overflows, the band included.
+    """
+    n, p = dist.shape[0], dist.shape[2]
+    abs_a, abs_f = np.abs(quad), np.abs(facets)
+    big = max(float(dist.max()), -float(dist.min()))
+    # in Python floats, so that an overflow reads inf without a warning
+    scale = max(p * float(abs_f.max()), 1.0) * (5 * p * float(abs_a.max()) + 1.0) * max(big, 1.0)
+    if not scale < BAND_SCALE_LIMIT:
+        return None
+    rows = abs_a.sum(axis=-1)
+    v = big * (rows.sum(axis=0) + rows[3] + 1.0)  # A4 serves two terms
+    gamma = (2 * p + 6) * 2.0**-53 / (1.0 - (2 * p + 6) * 2.0**-53)
+    tiny = 2.0**-1019 * p * (p * big + abs_f.sum(axis=-1) + 1.0)
+    band = (2.0 * gamma * (abs_f @ v) + tiny) * (1.0 + BAND_MARGIN)
+
+    # np.take gathers several times faster than fancy indexing here
+    flat = dist.reshape(n * n, p)
+    d_x_tx = flat.take(np.arange(n) * n + t, axis=0)  # d(x, Tx)
+    d_tx_ty = flat.take((t[:, None] * n + t).ravel(), axis=0)  # d(Tx, Ty)
+    cross = dist.take(t, axis=1)  # [i, j]: d(x_i, T x_j)
+    cross = (cross + cross.transpose(1, 0, 2)).reshape(n * n, p)  # ... + d(x_j, T x_i)
+    # facets along the first axis: the broadcasts and the per-pair
+    # reductions then run along long contiguous rows
+    f1, f2, f3, f4 = facets @ quad
+    products = (f1 @ flat.T).reshape(-1, n, n)
+    products += (f2 @ d_x_tx.T)[:, :, None]
+    products += (f3 @ d_x_tx.T)[:, None, :]
+    products += (f4 @ cross.T).reshape(-1, n, n)
+    products -= (facets @ d_tx_ty.T).reshape(-1, n, n)
+    return products.reshape(-1, n * n), band
+
+
+def _failing_rows(residuals, facets, tol, pair_at, q=None) -> np.ndarray:
+    """Rows of ``residuals`` that leave the cone; the pair of row ``k`` is ``pair_at(q[k])``.
+
+    The first row with a non-finite entry raises.
+    """
+    # whole-array tests first; the per-pair reductions only when one fails
+    finite = np.isfinite(residuals)
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=-1)))
+        x, y = pair_at(k if q is None else int(q[k]))
+        raise ContractViolationError(f"contraction residual at ({x}, {y}) has non-finite entries")
+    inside = _act(facets, residuals) >= -tol
+    return np.flatnonzero(~inside.all(axis=-1)) if not inside.all() else np.empty(0, np.intp)
+
+
+def _exhaustive_failures(space: ConeMetricSpace, t, stack, tol, pair_at) -> np.ndarray:
+    """Flat positions of the pairs whose residual leaves the cone, in pair order.
+
+    For a constant family, the fast products of :func:`_facet_products`
+    decide every pair outside their band, ``hi`` and above a member and
+    below ``lo`` not (see :func:`check_hypotheses`).  The reference kernel
+    decides the rest, and every pair of a per-pair family or when the fast
+    products cannot be used.
+    """
+    dist, facets = space.distance_tensor(), space.cone.facets
+    n_pairs = dist.shape[0] ** 2
+    fast = None
+    if len(stack) == 1 and n_pairs >= FAST_MIN_PAIRS:
+        fast = _facet_products(dist, t, stack[0], facets)
+    if fast is not None and np.isfinite(fast[0]).all():
+        products, band = fast
+        hi = np.nextafter(-tol + band, np.inf)[:, None]
+        lo = np.nextafter(-tol - band, -np.inf)[:, None]
+        above = products >= hi
+        if above.all():
+            return np.empty(0, np.intp)
+        fails = (products < lo).any(axis=0)
+        undecided = np.flatnonzero(~(fails | above.all(axis=0)))
+        if undecided.size:
+            residuals = _finite_residuals(space, t, stack, undecided)
+            fails[undecided[_failing_rows(residuals, facets, tol, pair_at, undecided)]] = True
+        return np.flatnonzero(fails)
+    every = np.arange(n_pairs)
+    return _failing_rows(_finite_residuals(space, t, stack, every), facets, tol, pair_at)
 
 
 @dataclass(eq=False)
@@ -638,12 +760,40 @@ def check_hypotheses(
     ``k`` defaults to the cone's declared normal constant.  Coefficients are
     fetched once per pair in sweep order (once in all for a constant
     family) into one quadruple stack, and the operator-level conditions are
-    evaluated over the whole stack at once.  The exhaustive sweep computes
-    every residual in one array expression over the distance tensor; a
-    sampled sweep goes pair by pair.  Ties in the witnessed maxima are
-    broken by the first pair in sweep order, and witnesses are listed in
-    sweep order, so the report is independent of how the residuals were
-    evaluated.
+    evaluated over the whole stack at once.  A sampled sweep computes its
+    residuals pair by pair.  Ties in the witnessed maxima are broken by the
+    first pair in sweep order, and witnesses are listed in sweep order, so
+    the report is independent of how the residuals were evaluated.
+
+    Under a constant family, the exhaustive sweep decides membership from
+    facet products computed straight from the distance tensor
+    (:func:`_facet_products`), inside a proven rounding band around the
+    products of the per-pair reference kernel (:func:`_finite_residuals`,
+    then :func:`_act`).  The reference kernel runs only on the pairs inside
+    the band, on the witnesses, and on every pair of a per-pair family, of
+    a space with fewer than :data:`FAST_MIN_PAIRS` pairs or of one whose
+    band scale reaches :data:`BAND_SCALE_LIMIT`; so every field of the
+    report is what a pair-by-pair sweep gives, bit for bit.
+
+    *Band.*  At a pair, write ``w = |A1||d1| + |A2||d2| + |A3||d3| +
+    |A4|(|d4| + |d5|) + |d6|`` for the distances ``d(x, y)``, ``d(x, Tx)``,
+    ``d(y, Ty)``, ``d(x, Ty)``, ``d(y, Tx)`` and ``d(Tx, Ty)``, and ``γ_n =
+    n u / (1 - n u)`` with ``u = 2^-53``.  The reference rounds ``A_k d_k``
+    (a dot product of length p, error at most ``γ_p |A_k||d_k|``), five
+    additions, and ``F r`` (``γ_p`` again), so its product is within
+    ``γ_{2p+5} (|F| w)_f`` of the exact ``(F r)_f`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, §3.1).  The fast products round
+    ``F A_k`` and its product with ``d_k``, the sum ``d4 + d5`` and five
+    additions: within ``γ_{2p+6} (|F| w)_f``.  Both bounds hold for any
+    summation order and with fused multiply-adds.  With ``M = max |D|``,
+    ``w <= v = M (rowsum |A1| + rowsum |A2| + rowsum |A3| + 2 rowsum |A4| +
+    1)``, so the two
+    products differ by at most ``band_f = 2 γ_{2p+6} (|F| v)_f``.  A fast
+    product at or above ``nextafter(-tol + band, +inf)`` therefore has its
+    reference product at or above ``-tol``, and one below
+    ``nextafter(-tol - band, -inf)`` has it below: a pair whose products all
+    clear the first is a member, a pair with one below the second is not,
+    and the meaning of ``tol`` is unchanged.
     """
     k = space.cone.normal_constant if k is None else float(k)
     if k < 1.0:
@@ -653,7 +803,19 @@ def check_hypotheses(
     # quadruple q serves sweep position q; a constant family's one serves all
     count = 1 if getattr(coeffs, "is_constant", False) else n_pairs
     p = cone.space.dim
-    stack = np.array([coeffs.at(*pair_at(q)) for q in range(count)], dtype=float)
+    quads = [coeffs.at(*pair_at(q)) for q in range(count)]
+    try:
+        stack = np.array(quads, dtype=float)
+    except ValueError:
+        shape = np.shape(quads[0])
+        for q, quad in enumerate(quads):
+            if np.shape(quad) != shape:
+                x, y = pair_at(q)
+                raise ContractViolationError(
+                    f"coefficients at ({x}, {y}) have shape {np.shape(quad)}, "
+                    f"unlike {shape} at the first pair"
+                ) from None
+        raise
     if stack.shape != (count, 4, p, p):
         raise ContractViolationError("operator and cone live in different dimensions")
     if not np.isfinite(stack).all():  # a callback's matrices are checked nowhere else
@@ -661,20 +823,19 @@ def check_hypotheses(
     alphas, flags, s_norms, i5_detail = _operator_stats(stack, cone, tol)
 
     if exhaustive:
-        residuals = _finite_residuals(space, mapping, stack).reshape(n_pairs, -1)
+        t = space.image_indices(mapping)
+        failing = _exhaustive_failures(space, t, stack, tol, pair_at)
+        convicted = failing[:MAX_WITNESSES]
+        if convicted.size:
+            residuals = _finite_residuals(space, t, stack, convicted)
     else:
         residuals = np.array([
             _residual(space, mapping, stack[i % len(stack)], *map(space.check_point, pair_at(i)))
             for i in range(n_pairs)
         ])
-    # whole-array tests first; the per-pair reductions only when one fails
-    finite = np.isfinite(residuals)
-    if not finite.all():
-        x, y = pair_at(int(np.argmin(finite.all(axis=-1))))
-        raise ContractViolationError(f"contraction residual at ({x}, {y}) has non-finite entries")
-    products = _act(cone.facets, residuals)
-    inside = products >= -tol
-    failing = np.flatnonzero(~inside.all(axis=-1)) if not inside.all() else np.empty(0, np.intp)
+        failing = _failing_rows(residuals, cone.facets, tol, pair_at)
+        convicted = failing[:MAX_WITNESSES]
+        residuals = residuals[convicted]
 
     # (sweep position, rank within the pair, witness); sorting restores the
     # order in which a pair-by-pair sweep meets them.
@@ -686,11 +847,12 @@ def check_hypotheses(
             q = int(firsts[rank])
             detail = i5_detail if name == "i5" else f"{name}: operator maps a generator out of the cone"
             events.append((q, rank, Witness(name, *pair_at(q), detail)))
-    for i in failing[:MAX_WITNESSES]:
-        worst = float(np.min(products[i]))
+    if convicted.size:
+        worsts = np.min(_act(cone.facets, residuals), axis=-1)
+    for row, i in enumerate(convicted):
+        worst = float(worsts[row])
         detail = f"residual leaves the cone (worst facet product {worst:.6g})"
-        vector = residuals[i].copy()
-        events.append((int(i), 4, Witness("contraction", *pair_at(i), detail, worst, vector)))
+        events.append((int(i), 4, Witness("contraction", *pair_at(i), detail, worst, residuals[row])))
     witnesses = [w for _, _, w in sorted(events, key=lambda e: e[:2])][:MAX_WITNESSES]
 
     def witness(condition, x, y, detail, value):

@@ -1,5 +1,7 @@
 """Metric axioms, contraction residuals, and the hypothesis checker."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,6 +232,24 @@ class TestCheckHypotheses:
         mapping = TableMapping({"a": "a", "b": "a"})
         coeffs = CallableCoefficients(lambda x, y: [[[value if x == "b" else 0.1]], [[0.0]], [[0.0]], [[0.0]]])
         with pytest.raises(ContractViolationError, match="coefficients have non-finite entries"):
+            check_hypotheses(space, mapping, coeffs)
+
+    @pytest.mark.parametrize("odd", ["a", "b"])
+    def test_callable_mixed_shapes_refused(self, odd):
+        # a (4, 2, 2) quadruple at one pair among (4, 1, 1) ones: the first
+        # pair whose shape differs from the first pair's is named
+        space = make_scalar_space(labels=("a", "b"), positions={"a": [0.0], "b": [1.0]})
+        mapping = TableMapping({"a": "a", "b": "a"})
+        coeffs = CallableCoefficients(
+            lambda x, y: np.zeros((4, 2, 2)) if x == odd else np.full((4, 1, 1), 0.1)
+        )
+        shapes = [(4, 2, 2), (4, 1, 1)] if odd == "a" else [(4, 1, 1), (4, 2, 2)]
+        message = f"coefficients at (b, a) have shape {shapes[1]}, unlike {shapes[0]} at the first pair"
+        with pytest.raises(ContractViolationError, match=f"^{re.escape(message)}$"):
+            check_hypotheses(space, mapping, coeffs)
+        # a consistent shape that does not fit the cone keeps its own message
+        coeffs = CallableCoefficients(lambda x, y: np.zeros((4, 2, 2)))
+        with pytest.raises(ContractViolationError, match="operator and cone live in different dimensions"):
             check_hypotheses(space, mapping, coeffs)
 
     def test_declaration_mismatch_flagged(self):

@@ -5,6 +5,8 @@ distance lookups of a finite space and the bound audit work on whole
 arrays at once.  Their references here go pair by pair (through the public
 single-pair ``contraction_residual``) and triple by triple, the way they
 were first written, and every field of the results must agree exactly.
+The fast facet products that decide most pairs of the exhaustive sweep
+must lie within their rounding band of the reference products.
 """
 
 import io
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conefix import (
     AffineMapping,
@@ -411,6 +415,20 @@ class TestSweepErrors:
         with pytest.raises(ContractViolationError, match="not defined at 'q2'"):
             check_hypotheses(space, mapping, coeffs)
 
+    def test_image_indices_match_apply(self, orthant2_inf):
+        space = random_space(np.random.default_rng(1), orthant2_inf, "discrete", 4)
+        order = sorted(space.labels)
+        mapping = TableMapping({x: order[(i * 3 + 1) % 4] for i, x in enumerate(order)})
+        expected = [order.index(mapping.apply(space, x)) for x in order]
+        assert space.image_indices(mapping).tolist() == expected
+        # a missed lookup raises what apply raises, at the first label in order
+        for table, message in [
+            ({**mapping.table, "q1": "zz", "q3": "yy"}, "unknown point label 'zz'"),
+            ({x: y for x, y in mapping.table.items() if x != "q2"}, "mapping table is not defined at 'q2'"),
+        ]:
+            with pytest.raises(ContractViolationError, match=f"^{message}$"):
+                space.image_indices(TableMapping(table))
+
     def test_missing_table_entry(self, orthant2_inf):
         # no sweep ever meets a missing pair: the space refuses the table
         entries = {("a", "b"): np.array([1.0, 1.0])}
@@ -768,3 +786,183 @@ def test_distance_tensor_built_once_per_space(monkeypatch):
     verify_proof_bounds(inst.space, result.trace, inst.k, inst.certification.beta)
     assert inst.space in built
     assert len(built) == len(set(map(id, built)))
+
+
+# ---------------------------------------------------------------------------
+# The fast facet products of the exhaustive sweep and their rounding band
+# ---------------------------------------------------------------------------
+
+
+def rescaled(space, scale):
+    """The same space with every distance multiplied by ``scale``."""
+    metric = space.metric
+    if isinstance(metric, LiftedMetric):
+        metric = LiftedMetric(metric.base, metric.weight * scale)
+    else:
+        metric = TableMetric({key: v * scale for key, v in metric.entries.items()})
+    return ConeMetricSpace(space.cone, space.points, metric)
+
+
+def reference_products(space, mapping, coeffs):
+    """Facet products of every residual, pair by pair in canonical order, shape (N * N, m)."""
+    labels = sorted(space.labels)
+    return np.array([
+        space.cone.facets @ contraction_residual(space, mapping, coeffs, x, y)
+        for x in labels
+        for y in labels
+    ])
+
+
+@pytest.mark.parametrize("metric,family,failing", CASES)
+def test_fast_products_match_per_pair_reference(metric, family, failing, monkeypatch):
+    # the instances of test_sweep_matches_per_pair_reference, every one of
+    # them through the fast products
+    monkeypatch.setattr(contraction, "FAST_MIN_PAIRS", 0)
+    for seed in range(10):
+        space, mapping, coeffs = random_instance(seed, metric, family, failing)
+        report = check_hypotheses(space, mapping, coeffs, tol=TOL)
+        assert report_fields(report) == reference_report(space, mapping, coeffs), f"seed {seed}"
+
+
+@st.composite
+def banded_instances(draw, families=("constant", "per_pair")):
+    """A random finite instance at a drawn distance scale, and a tolerance
+    a few ulps from one of its facet products, so that pairs land inside the
+    band of the fast products."""
+    seed = draw(st.integers(0, 2**20))
+    metric = draw(st.sampled_from(["euclidean", "discrete", "table"]))
+    family = draw(st.sampled_from(families))
+    failing = draw(st.booleans())
+    scale = 10.0 ** draw(st.integers(-12, 12))
+    space, mapping, coeffs = random_instance(seed, metric, family, failing)
+    space = rescaled(space, scale)
+    products = reference_products(space, mapping, coeffs)
+    # tolerances are nonnegative: aim at a negative worst product of a
+    # pair, or at zero ones
+    worst = products.min(axis=-1)
+    negative = worst[worst < 0.0]
+    tol = -float(negative[draw(st.integers(0, 2**20)) % negative.size]) if negative.size else 0.0
+    ulps = draw(st.integers(-3, 3))
+    for _ in range(abs(ulps)):
+        tol = float(np.nextafter(tol, np.copysign(np.inf, ulps)))
+    return space, mapping, coeffs, max(tol, 0.0), products
+
+
+@settings(max_examples=80, deadline=None)
+@given(banded_instances())
+def test_filtered_sweep_matches_reference_inside_the_band(instance):
+    # every space takes the fast products, however few its pairs
+    space, mapping, coeffs, tol, _ = instance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contraction, "FAST_MIN_PAIRS", 0)
+        report = check_hypotheses(space, mapping, coeffs, tol=tol)
+    assert report_fields(report) == reference_report(space, mapping, coeffs, tol=tol)
+
+
+@settings(max_examples=80, deadline=None)
+@given(banded_instances(families=("constant",)))
+def test_band_bounds_fast_products(instance):
+    # the fast products serve constant families only
+    space, mapping, coeffs, _, products = instance
+    t = space.image_indices(mapping)
+    quad = coeffs.at(None, None)
+    fast, band = contraction._facet_products(space.distance_tensor(), t, quad, space.cone.facets)
+    assert fast.shape == products.T.shape
+    assert (np.abs(fast - products.T) <= band[:, None]).all()
+
+
+def counting_reference_kernel(monkeypatch):
+    """Patch the reference kernel of the exhaustive sweep; the list collects its pair counts."""
+    counted = []
+    kernel = contraction._finite_residuals
+
+    def counting(space, t, stack, q):
+        counted.append(len(q))
+        return kernel(space, t, stack, q)
+
+    monkeypatch.setattr(contraction, "_finite_residuals", counting)
+    return counted
+
+
+def undecided_pairs(space, mapping, coeffs, tol):
+    """Pairs whose fast products lie inside the band around ``-tol``."""
+    t = space.image_indices(mapping)
+    fast, band = contraction._facet_products(
+        space.distance_tensor(), t, coeffs.at(None, None), space.cone.facets
+    )
+    passes = (fast.T >= np.nextafter(-tol + band, np.inf)).all(axis=-1)
+    fails = (fast.T < np.nextafter(-tol - band, -np.inf)).any(axis=-1)
+    return int((~passes & ~fails).sum())
+
+
+def test_reference_kernel_pair_count(monkeypatch):
+    counted = counting_reference_kernel(monkeypatch)
+    for seed, cone in enumerate(CONES.values()):
+        inst = generate_certified_instance(seed, 30, cone())
+        counted.clear()
+        report = check_hypotheses(inst.space, inst.mapping, inst.coeffs, k=inst.k)
+        assert report.passed
+        assert counted == []  # a certified ladder is decided by the fast products alone
+
+    # a failing instance: the witnesses, and the pairs inside the band
+    cone = orthant(NormedSpace(3, "infinity"))
+    rng = np.random.default_rng(11)
+    space = random_space(rng, cone, "euclidean", 12)
+    order = sorted(space.labels)
+    mapping = TableMapping({x: order[-1 - i] for i, x in enumerate(order)})
+    coeffs = random_coeffs(rng, cone.space, "constant", space.labels)
+    products = reference_products(space, mapping, coeffs)
+    # the second tolerance puts a pair's worst product on the boundary
+    worst = products.min(axis=-1)
+    negative = np.sort(worst[worst < 0.0])
+    for tol in (TOL, -float(negative[negative.size // 2])):
+        counted.clear()
+        report = check_hypotheses(space, mapping, coeffs, tol=tol)
+        assert report_fields(report) == reference_report(space, mapping, coeffs, tol=tol)
+        assert not report.contraction_pass
+        undecided = undecided_pairs(space, mapping, coeffs, tol)
+        assert 0 < sum(counted) <= undecided + MAX_WITNESSES
+        if tol != TOL:
+            assert undecided > 0
+
+    # a per-pair family takes the reference kernel on every pair at once
+    coeffs = random_coeffs(rng, cone.space, "per_pair", space.labels)
+    counted.clear()
+    check_hypotheses(space, mapping, coeffs)
+    assert counted[0] == len(order) ** 2
+
+
+def test_overflow_guard(orthant2_inf):
+    labels = tuple(f"q{i:02d}" for i in range(12))  # enough pairs for the fast products
+    mapping = TableMapping({x: labels[0] for x in labels})
+    # distances near 1e300 whose residuals overflow: the reference kernel
+    # runs on every pair and names the first non-finite one
+    space = ConeMetricSpace(
+        orthant2_inf, FinitePoints(labels), LiftedMetric("discrete", [1e300, 1.0])
+    )
+    coeffs = constant([1e9 * np.eye(2)] * 4, orthant2_inf.space)
+    with np.errstate(over="ignore"):
+        first = next(
+            (x, y)
+            for x in labels
+            for y in labels
+            if not np.isfinite(contraction_residual(space, mapping, coeffs, x, y)).all()
+        )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(
+            ContractViolationError,
+            match=r"^contraction residual at \(%s, %s\) has non-finite entries$" % first,
+        ):
+            check_hypotheses(space, mapping, coeffs)
+    # distances past the band's scale limit whose residuals stay finite:
+    # every pair goes through the reference kernel, without a warning
+    space = ConeMetricSpace(
+        orthant2_inf, FinitePoints(labels), LiftedMetric("discrete", [1e302, 1.0])
+    )
+    coeffs = constant([a * np.eye(2) for a in (0.3, 0.1, 0.1, 0.05)], orthant2_inf.space)
+    assert contraction._facet_products(
+        space.distance_tensor(), space.image_indices(mapping), coeffs.at(None, None), orthant2_inf.facets
+    ) is None
+    report = check_hypotheses(space, mapping, coeffs)
+    assert report.passed
+    assert report_fields(report) == reference_report(space, mapping, coeffs)
