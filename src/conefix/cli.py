@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
 
 from .cones import DEFAULT_MEMBERSHIP_TOL, check_declared_normal_constant, validate_cone
-from .contraction import CONDITIONS, TableMetric, check_hypotheses, check_metric_axioms
-from .errors import ConefixError, NonConvergenceError, ProblemFileError
+from .contraction import CONDITIONS, check_hypotheses, check_metric_axioms
+from .errors import ConefixError, ContractViolationError, NonConvergenceError, ProblemFileError
 from .problemfile import parse_problem_file
 from .solver import picard_solve, probe_open_problem, verify_proof_bounds
 
@@ -64,28 +65,69 @@ def _witness_entries(report, sig_point):
     return entries
 
 
-def _run_check(problem, args):
-    """Audit the declared normal constant and a table metric's axioms, then sweep the hypotheses.
+def _tol(problem, args) -> float:
+    """The membership tolerance of every test: the file's ``check.tol`` if set, else ``--tol``."""
+    return args.tol if problem.check.tol is None else problem.check.tol
 
-    A lifted metric is a cone metric by construction; a table is only one
-    if it passes the axiom sweep that ``validate`` runs.
+
+def _premises(problem, args):
+    """Check the premises of the theorem; ``validate``, ``check`` and ``solve`` all run this.
+
+    In order: the cone (nonzero, pointed, generators inside the facet
+    description), the declared normal constant against its sampled lower
+    bound, and the metric axioms.  Returns ``validate``'s entries and the
+    failures in that order, each a ``(section, message)`` pair; the audit's
+    failure has no section, as its message names the declaration.
     """
-    check_declared_normal_constant(problem.space.cone, n_samples=AUDIT_SAMPLES, seed=args.seed)
-    if isinstance(problem.space.metric, TableMetric):
-        axioms = check_metric_axioms(problem.space, seed=args.seed, tol=args.tol)
-        if not axioms.passed:
-            raise ProblemFileError(axioms.messages[0], "space.metric")
+    tol = _tol(problem, args)
+    cone = problem.space.cone
+    cone_report = validate_cone(cone, tol=tol)
+    failures = [("space.cone", msg) for msg in cone_report.messages]
+    try:
+        bound = check_declared_normal_constant(cone, n_samples=AUDIT_SAMPLES, seed=args.seed)
+    except ContractViolationError as exc:
+        bound = None
+        failures.append((None, str(exc)))
+    metric_report = check_metric_axioms(problem.space, tol=tol)
+    failures += [("space.metric", msg) for msg in metric_report.messages]
+    entries = [
+        ("tol", tol),
+        ("cone.nonzero_pass", cone_report.nonzero_pass),
+        ("cone.pointed_pass", cone_report.pointed_pass),
+        ("cone.generators_consistent", cone_report.generators_consistent),
+        ("cone.solid", cone_report.solid),
+        ("cone.normal_constant", cone.normal_constant),
+        ("cone.normal_audit_pass", bound is not None),
+    ]
+    if bound is not None:
+        entries.append(("cone.normal_audit_bound", bound))
+    entries += [
+        ("metric.route", metric_report.route),
+        ("metric.axiom_a_pass", metric_report.axiom_a_pass),
+        ("metric.axiom_b_pass", metric_report.axiom_b_pass),
+        ("metric.axiom_c_pass", metric_report.axiom_c_pass),
+        ("metric.pairs_checked", metric_report.pairs_checked),
+        ("metric.triples_checked", metric_report.triples_checked),
+    ]
+    return entries, failures
+
+
+def _run_check(problem, args):
+    """Refuse a problem whose premises fail, then sweep the hypotheses."""
+    _, failures = _premises(problem, args)
+    if failures:
+        section, message = failures[0]
+        raise ProblemFileError(message, section)
     source = problem.check.pair_source
     if source == "all" and not problem.space.is_finite:
         source = ("sampled", 200, args.seed)
-    tol = problem.check.tol if problem.check.tol is not None else args.tol
     return check_hypotheses(
         problem.space,
         problem.mapping,
         problem.coeffs,
         k=problem.space.cone.normal_constant,
         pair_source=source,
-        tol=tol,
+        tol=_tol(problem, args),
         declared_alpha=problem.check.alpha,
         declared_beta=problem.check.beta,
     )
@@ -107,27 +149,10 @@ def _report_entries(report):
 
 def cmd_validate(args):
     problem = parse_problem_file(args.file)
-    cone_report = validate_cone(problem.space.cone, seed=args.seed, tol=args.tol)
-    metric_report = check_metric_axioms(problem.space, seed=args.seed, tol=args.tol)
-    ok = cone_report.passed and metric_report.passed
-    status = "ok" if ok else "input-error"
-    entries = [
-        ("command", "validate"),
-        ("file", args.file),
-        ("exit_status", status),
-        ("cone.nonzero_pass", cone_report.nonzero_pass),
-        ("cone.conic_closure_pass", cone_report.conic_closure_pass),
-        ("cone.pointed_pass", cone_report.pointed_pass),
-        ("cone.generators_consistent", cone_report.generators_consistent),
-        ("cone.solid", cone_report.solid),
-        ("metric.axiom_a_pass", metric_report.axiom_a_pass),
-        ("metric.axiom_b_pass", metric_report.axiom_b_pass),
-        ("metric.axiom_c_pass", metric_report.axiom_c_pass),
-        ("metric.pairs_checked", metric_report.pairs_checked),
-        ("metric.triples_checked", metric_report.triples_checked),
-    ]
-    for i, msg in enumerate(cone_report.messages + metric_report.messages):
-        entries.append((f"failure.{i}", msg))
+    entries, failures = _premises(problem, args)
+    status = "input-error" if failures else "ok"
+    entries = [("command", "validate"), ("file", args.file), ("exit_status", status), *entries]
+    entries += [(f"failure.{i}", msg) for i, (_, msg) in enumerate(failures)]
     return entries, status
 
 
@@ -292,10 +317,22 @@ def _nonnegative(name: str, text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """The argparse type of ``--tol``: with inf or NaN every membership test would pass or fail."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"tol must be a finite nonnegative number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_MEMBERSHIP_TOL,
-                        help="membership tolerance on facet inner products")
+    common.add_argument("--tol", type=_tolerance, default=DEFAULT_MEMBERSHIP_TOL,
+                        help="membership tolerance on facet inner products, "
+                             "unless the file sets check.tol")
     # numpy's generators refuse negative seeds
     common.add_argument("--seed", type=functools.partial(_nonnegative, "seed"), default=0,
                         help="nonnegative seed for sampled checks and probes")

@@ -199,7 +199,6 @@ class ValidationReport:
     """Per-axiom outcome of :func:`validate_cone`."""
 
     nonzero_pass: bool
-    conic_closure_pass: bool
     pointed_pass: bool
     generators_consistent: bool
     solid: bool
@@ -207,73 +206,47 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.nonzero_pass
-            and self.conic_closure_pass
-            and self.pointed_pass
-            and self.generators_consistent
-        )
+        return self.nonzero_pass and self.pointed_pass and self.generators_consistent
 
 
-def validate_cone(
-    cone: PolyhedralCone,
-    n_samples: int = 64,
-    seed: int = 0,
-    tol: float = DEFAULT_MEMBERSHIP_TOL,
-) -> ValidationReport:
-    """Check the cone axioms and the generator/facet consistency.
+def validate_cone(cone: PolyhedralCone, tol: float = DEFAULT_MEMBERSHIP_TOL) -> ValidationReport:
+    """Check the cone axioms and the generator/facet consistency, without sampling.
 
-    Nonzero: some generator has positive norm.  Conic closure: sampled
-    nonnegative combinations of generators stay inside the facet
-    description.  Pointedness: no generator's negation is a member, and the
-    facet matrix has full column rank (otherwise its null space gives a
-    nonzero v with both v and -v members).  Consistency: every generator
-    satisfies every facet inequality.
+    Nonzero: some generator has positive norm.  Consistency: every
+    generator satisfies every facet inequality, ``G ⊆ P_F``.  Conic closure
+    needs no test of its own: ``P_F = {v : F v >= 0}`` is a convex cone, so
+    consistency already puts every nonnegative combination of generators
+    in it.  Pointedness: no generator's negation is a member, and the facet
+    matrix has full column rank (otherwise its null space gives a nonzero v
+    with both v and -v members).  Each membership test is one
+    :func:`cone_members` call over the generator stack.
 
     Failures are reported, not raised.
     """
     messages: list[str] = []
-    gen_norms = np.linalg.norm(cone.generators, axis=1)
+    gens = cone.generators
+    gen_norms = np.linalg.norm(gens, axis=1)
     nonzero = bool(np.any(gen_norms > tol))
     if not nonzero:
         messages.append("axiom (i): all generators are numerically zero")
 
-    consistent = True
-    for i, g in enumerate(cone.generators):
-        if not cone_contains(cone, g, tol):
-            consistent = False
-            messages.append(f"consistency: generator {i} violates a facet inequality")
+    outside = np.flatnonzero(~cone_members(cone, gens, tol))
+    for i in outside:
+        messages.append(f"consistency: generator {i} violates a facet inequality")
 
-    rng = np.random.default_rng(seed)
-    closure = True
-    n_gen = cone.generators.shape[0]
-    for _ in range(max(1, n_samples)):
-        coeffs_x = rng.uniform(0.0, 2.0, n_gen)
-        coeffs_y = rng.uniform(0.0, 2.0, n_gen)
-        a, b = rng.uniform(0.0, 3.0, 2)
-        combo = a * (coeffs_x @ cone.generators) + b * (coeffs_y @ cone.generators)
-        scale = max(1.0, float(np.max(np.abs(combo)))) if combo.size else 1.0
-        if not cone_contains(cone, combo, tol * scale):
-            closure = False
-            messages.append("axiom (ii): a nonnegative combination of generators left the cone")
-            break
-
-    pointed = True
-    for i, g in enumerate(cone.generators):
-        if gen_norms[i] > tol and cone_contains(cone, -g, tol):
-            pointed = False
-            messages.append(f"axiom (iii): generator {i} and its negation are both members")
+    two_sided = np.flatnonzero((gen_norms > tol) & cone_members(cone, -gens, tol))
+    for i in two_sided:
+        messages.append(f"axiom (iii): generator {i} and its negation are both members")
     # Null space of the facet matrix is exactly P intersect -P for the facet
     # description; a rank deficiency exhibits a nonzero such v.
-    if np.linalg.matrix_rank(cone.facets, tol=1e-12) < cone.space.dim:
-        pointed = False
+    full_rank = np.linalg.matrix_rank(cone.facets, tol=1e-12) == cone.space.dim
+    if not full_rank:
         messages.append("axiom (iii): facet matrix is rank deficient, P ∩ -P contains a line")
 
     return ValidationReport(
         nonzero_pass=nonzero,
-        conic_closure_pass=closure,
-        pointed_pass=pointed,
-        generators_consistent=consistent,
+        pointed_pass=bool(full_rank and two_sided.size == 0),
+        generators_consistent=outside.size == 0,
         solid=bool(cone.solid),
         messages=messages,
     )

@@ -927,7 +927,7 @@ class MetricAxiomReport:
     axiom_c_pass: bool
     pairs_checked: int
     triples_checked: int
-    exhaustive: bool
+    route: str  # "sweep" (a table) or "construction" (a lifted metric)
     messages: list[str] = field(default_factory=list)
 
     @property
@@ -938,16 +938,62 @@ class MetricAxiomReport:
 MAX_MESSAGES = 25
 
 
-def _pair_axioms(cone, dxy, dyx, same, pair_at, tol, messages) -> tuple[bool, bool]:
-    """Axioms (a) and (b) over stacks of ``d(x, y)`` and ``d(y, x)``, noted in pair order."""
+def check_metric_axioms(
+    space: ConeMetricSpace, tol: float = DEFAULT_MEMBERSHIP_TOL
+) -> MetricAxiomReport:
+    """Check the metric axioms without sampling: a table by a sweep, a lift by construction.
+
+    Axiom (a): distances are cone members, vanish exactly on the diagonal,
+    and are nonzero off it.  Axiom (b): symmetry.  Axiom (c): the triangle
+    slack ``d(x,z) + d(z,y) - d(x,y)`` is a cone member.
+
+    A table metric (route ``sweep``) is swept over all pairs and triples of
+    its distance tensor, the triangles one first point at a time; failures
+    are noted in canonical (pair, then triple) order.
+
+    A lifted metric ``rho * w`` (route ``construction``) satisfies the
+    axioms exactly because ``rho`` is a metric and ``w`` a nonzero cone
+    element, so only what the construction does not give is tested: that
+    ``w`` is a cone member under ``tol`` (the space was built under the
+    default tolerance), and, on a finite space, that no two distinct labels
+    have a computed ``d_norm`` of zero.  Positions may coincide, and a
+    computed distance can underflow; the solver stops on a zero step, so
+    the norm is tested, not the position.  The first such pair in canonical
+    order is named.  On R^m no pair is tested.  Exact arithmetic is meant:
+    a computed ``rho`` may break the triangle inequality by a few ulps.
+    """
+    cone = space.cone
+    messages: list[str] = []
+    if isinstance(space.metric, LiftedMetric):
+        a_ok = bool(cone_members(cone, space.metric.weight, tol))
+        if not a_ok:
+            messages.append("axiom (a): the metric weight is not a cone member")
+        pairs_checked = 0
+        if space.is_finite:
+            order = space.points.order
+            n = len(order)
+            vanishing = space.norm_table() == 0.0
+            vanishing[np.diag_indices(n)] = False
+            if vanishing.any():
+                x, y = divmod(int(vanishing.argmax()), n)
+                messages.append(f"axiom (a): d({order[x]}, {order[y]}) vanishes for distinct points")
+                a_ok = False
+            pairs_checked = n * n
+        return MetricAxiomReport(a_ok, True, True, pairs_checked, 0, "construction", messages)
+
+    order = space.points.order
+    n = len(order)
+    pair_at = _label_pair(order)
+    dist = space.distance_tensor()
+    dist_t = np.ascontiguousarray(dist.transpose(1, 0, 2))  # [y, z]: d(z, y)
+    dxy = dist.reshape(n * n, -1)
+    same = np.eye(n, dtype=bool).ravel()
     member = cone_members(cone, dxy, tol)
     norms = cone.space.norms(dxy)
     nonzero = same & (norms > tol)
     vanishing = ~same & (norms <= tol)
-    asymmetric = cone.space.norms(dxy - dyx) > tol
-    for i in np.flatnonzero(~member | nonzero | vanishing | asymmetric):
-        if len(messages) >= MAX_MESSAGES:
-            break
+    asymmetric = cone.space.norms(dxy - dist_t.reshape(n * n, -1)) > tol
+    for i in np.flatnonzero(~member | nonzero | vanishing | asymmetric)[:MAX_MESSAGES]:
         x, y = pair_at(i)
         if not member[i]:
             messages.append(f"axiom (a): d({x}, {y}) is not a cone member")
@@ -959,77 +1005,16 @@ def _pair_axioms(cone, dxy, dyx, same, pair_at, tol, messages) -> tuple[bool, bo
             messages.append(f"axiom (b): d({x}, {y}) != d({y}, {x})")
     del messages[MAX_MESSAGES:]
     a_ok = bool(member.all() and not nonzero.any() and not vanishing.any())
-    return a_ok, not bool(asymmetric.any())
-
-
-def _triangle_axiom(cone, slack, triple_at, tol, messages) -> bool:
-    """Axiom (c) over a stack of slacks ``d(x,z) + d(z,y) - d(x,y)``, noted in order."""
-    fails = np.flatnonzero(~cone_members(cone, slack, tol))
-    for i in fails[: MAX_MESSAGES - len(messages)]:
-        x, y, z = triple_at(i)
-        messages.append(f"axiom (c): triangle slack for ({x}, {z}, {y}) leaves the cone")
-    return fails.size == 0
-
-
-def check_metric_axioms(
-    space: ConeMetricSpace,
-    n_samples: int = 200,
-    seed: int = 0,
-    tol: float = DEFAULT_MEMBERSHIP_TOL,
-) -> MetricAxiomReport:
-    """Sweep the metric axioms over all pairs/triples (finite) or a sample.
-
-    Axiom (a): distances are cone members, vanish exactly on the diagonal,
-    and are nonzero off it.  Axiom (b): symmetry.  Axiom (c): the triangle
-    slack ``d(x,z) + d(z,y) - d(x,y)`` is a cone member.  Finite spaces are
-    swept over the distance tensor, the triangles one first point at a
-    time; failures are noted in canonical (pair, then triple) order.
-    """
-    cone = space.cone
-    messages: list[str] = []
-    if space.is_finite:
-        order = space.points.order
-        n = len(order)
-        dist = space.distance_tensor()
-        dist_t = np.ascontiguousarray(dist.transpose(1, 0, 2))  # [y, z]: d(z, y)
-        same = np.eye(n, dtype=bool).ravel()
-        pair_at = _label_pair(order)
-        a_ok, b_ok = _pair_axioms(
-            cone, dist.reshape(n * n, -1), dist_t.reshape(n * n, -1), same, pair_at, tol, messages
-        )
-        c_ok = True
-        for a, x in enumerate(order):
-            slack = (dist[a][None, :] + dist_t) - dist[a][:, None]  # [y, z]
-            ok = _triangle_axiom(cone, slack, lambda i, x=x: (x, *pair_at(i)), tol, messages)
-            c_ok = c_ok and ok
-            if not c_ok and len(messages) >= MAX_MESSAGES:
-                break  # the verdict and the messages are settled
-        pairs_checked, triples_checked, exhaustive = n * n, n**3, True
-    else:
-        rng = np.random.default_rng(seed)
-        pts = [space.sample_point(rng) for _ in range(max(3, n_samples))]
-        n = len(pts)
-        pairs = [(pts[i], pts[(i * 7 + 1) % n]) for i in range(n)]
-        triples = [(pts[i], pts[(i * 3 + 1) % n], pts[(i * 5 + 2) % n]) for i in range(n)]
-        a_ok, b_ok = _pair_axioms(
-            cone,
-            np.array([space.d(x, y) for x, y in pairs]),
-            np.array([space.d(y, x) for x, y in pairs]),
-            np.array([np.array_equal(x, y) for x, y in pairs]),
-            pairs.__getitem__,
-            tol,
-            messages,
-        )
-        slack = np.array([space.d(x, z) + space.d(z, y) - space.d(x, y) for x, y, z in triples])
-        c_ok = _triangle_axiom(cone, slack, triples.__getitem__, tol, messages)
-        pairs_checked, triples_checked, exhaustive = len(pairs), len(triples), False
-
+    c_ok = True
+    for x in range(n):
+        slack = (dist[x][None, :] + dist_t) - dist[x][:, None]  # [y, z]
+        fails = np.flatnonzero(~cone_members(cone, slack, tol))
+        for i in fails[: MAX_MESSAGES - len(messages)]:
+            y, z = pair_at(i)
+            messages.append(f"axiom (c): triangle slack for ({order[x]}, {z}, {y}) leaves the cone")
+        c_ok = c_ok and fails.size == 0
+        if not c_ok and len(messages) >= MAX_MESSAGES:
+            break  # the verdict and the messages are settled
     return MetricAxiomReport(
-        axiom_a_pass=a_ok,
-        axiom_b_pass=b_ok,
-        axiom_c_pass=c_ok,
-        pairs_checked=pairs_checked,
-        triples_checked=triples_checked,
-        exhaustive=exhaustive,
-        messages=messages,
+        a_ok, not bool(asymmetric.any()), c_ok, n * n, n**3, "sweep", messages
     )

@@ -106,7 +106,7 @@ def _section(block, table, path, dims):
             value = _section(value, key.type, sub, dims)
         else:
             value = key.type(value, sub, key, dims)
-        if key.sign and not SIGNS[key.sign](value):
+        if key.sign and value is not None and not SIGNS[key.sign](value):
             raise ProblemFileError(f"{name} must be {key.sign}, got {value!r}", where)
         values[name] = value
         if name in BOUND:
@@ -280,7 +280,7 @@ LIFTED_OVER_RM = {**LIFTED, "m": Key(_int, sign="positive")}
 OPERATORS = {name: Key(_array, shape=("dim", "dim")) for name in ("A1", "A2", "A3", "A4")}
 CHECK = {
     "pair_source": Key(_pair_source, required=False, default="all"),
-    "tol": Key(_number, required=False),
+    "tol": Key(_number, required=False, sign="nonnegative"),
     "alpha": Key(_number, required=False),
     "beta": Key(_number, required=False),
 }
@@ -319,16 +319,13 @@ DOCUMENT = {
         "beta": Key(_number, required=False),
     }, required=False),
     "check": Key(CHECK, required=False),
-    "normal_constant": Key(_number, required=False),
 }
 
 
-def _build_space(values, normal_constant):
+def _build_space(values):
     cone = values["cone"]
-    if normal_constant is None:
-        normal_constant = cone["normal_constant"]
     try:
-        cone = PolyhedralCone(values["norm"], cone["generators"], cone["facets"], normal_constant)
+        cone = PolyhedralCone(values["norm"], cone["generators"], cone["facets"], cone["normal_constant"])
     except ConefixError as exc:
         raise ProblemFileError(str(exc), "space.cone") from None
     metric = values["metric"]
@@ -373,7 +370,7 @@ def parse_problem_text(text: str) -> Problem:
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"invalid JSON: {exc}", "document") from None
     top = _section(doc, DOCUMENT, "", {})
-    space = _build_space(top["space"], top["normal_constant"])
+    space = _build_space(top["space"])
     mapping, coeffs, solve = top["mapping"], top["coefficients"], top["solve"]
     return Problem(
         space=space,

@@ -33,6 +33,9 @@ CASES = {
     "solve_finite_pairwise.txt": [
         "solve", "problems/finite_pairwise.json", "--audit-gap", "5", "--output", "machine",
     ],
+    "validate_banach_scalar.txt": ["validate", "problems/banach_scalar.json", "--output", "machine"],
+    "validate_finite_ladder.txt": ["validate", "problems/finite_ladder.json", "--output", "machine"],
+    "validate_finite_pairwise.txt": ["validate", "problems/finite_pairwise.json", "--output", "machine"],
 }
 
 

@@ -61,6 +61,7 @@ BAD_NUMBERS = [
     (("solve", "eps"), "1e400", ["solve"]),
     (("space", "dim"), "true", ["check"]),
     (("space", "metric", "m"), "true", ["check"]),
+    (("check", "tol"), "-1", ["validate"]),
 ]
 
 
@@ -80,6 +81,28 @@ def per_pair_doc():
             "table": [{"x": x, "y": y, **ops} for x in "ab" for y in "ab"],
         },
         "solve": {"x0": "b", "eps": 1e-8},
+    }
+
+
+def half_line_doc(weight, positions, table):
+    """A lifted euclidean metric on the half-line cone with A1 = 0.1 and the other coefficients 0."""
+    zero = [[0.0]]
+    return {
+        "space": {
+            "dim": 1,
+            "norm": "two",
+            "cone": {"generators": [[1.0]], "facets": [[1.0]]},
+            "metric": {
+                "kind": "lifted",
+                "base": "euclidean",
+                "weight": [weight],
+                "labels": sorted(positions),
+                "positions": positions,
+            },
+        },
+        "mapping": {"kind": "table", "table": table},
+        "coefficients": {"kind": "constant", "A1": [[0.1]], "A2": zero, "A3": zero, "A4": zero},
+        "solve": {"x0": "a", "eps": 1e-8},
     }
 
 
@@ -253,6 +276,62 @@ class TestExitCodes:
         code, out = run_cli(["solve", path, "--force", "--output", "machine"])
         assert code == 0 and "point=c" in out
 
+    def test_duplicate_positions_are_input_error(self, tmp_path):
+        # a and b coincide, so the identity map has two fixed points
+        doc = half_line_doc(1.0, {"a": [0.0], "b": [0.0]}, {"a": "a", "b": "b"})
+        path = write_problem(tmp_path, doc)
+        for argv in (["validate"], ["check"], ["solve"]):
+            code, out = run_cli([argv[0], path, "--output", "machine"])
+            assert code == 2, argv
+            assert "axiom (a): d(a, b) vanishes for distinct points" in out
+        assert "\nerror=space.metric: axiom (a): d(a, b) vanishes for distinct points\n" in out
+
+    def test_tiny_lifted_weight_is_a_metric(self, tmp_path):
+        # distances of 1e-12 lie below the absolute tolerance, yet the lift
+        # of distinct positions is a cone metric; every command agrees
+        doc = half_line_doc(1e-12, {"a": [0.0], "b": [1.0], "c": [3.0]}, {"a": "c", "b": "a", "c": "b"})
+        path = write_problem(tmp_path, doc)
+        code, out = run_cli(["validate", path, "--output", "machine"])
+        assert code == 0
+        assert "metric.route=construction" in out
+        assert run_cli(["check", path])[0] != 2
+
+    def test_generator_outside_facets_is_input_error(self, tmp_path):
+        # the cone check runs before the hypotheses under every command
+        eye, zero = [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]
+        doc = {
+            "space": {
+                "dim": 2,
+                "norm": "infinity",
+                "cone": {"generators": [[1.0, 0.0], [-0.5, 1.0]], "facets": eye, "normal_constant": 2.0},
+                "metric": {"kind": "lifted", "base": "discrete", "weight": [1.0, 1.0], "labels": ["a", "b"]},
+            },
+            "mapping": {"kind": "table", "table": {"a": "a", "b": "a"}},
+            "coefficients": {"kind": "constant", "A1": [[0.2, 0.0], [0.0, 0.2]], "A2": zero, "A3": zero, "A4": zero},
+            "solve": {"x0": "b", "eps": 1e-8},
+        }
+        path = write_problem(tmp_path, doc)
+        for argv in (["validate"], ["check"], ["solve"]):
+            code, out = run_cli([argv[0], path, "--output", "machine"])
+            assert code == 2, argv
+            assert "consistency: generator 1 violates a facet inequality" in out
+        assert "\nerror=space.cone: consistency: generator 1 violates a facet inequality\n" in out
+
+    def test_file_tol_is_the_tol_of_every_command(self, tmp_path):
+        # d(a, c) exceeds d(a, b) + d(b, c) by 1e-8 in its first coordinate
+        doc = json.loads((PROBLEMS / "finite_pairwise.json").read_text())
+        entry = next(e for e in doc["space"]["metric"]["entries"] if e[:2] == ["a", "c"])
+        entry[2][0] = 0.75 + 1e-8
+        by_flag = write_problem(tmp_path, doc, "by_flag.json")
+        doc["check"] = {"pair_source": "all", "tol": 1e-6}
+        by_file = write_problem(tmp_path, doc, "by_file.json")
+        for argv in (["validate"], ["check"], ["solve"]):
+            code, out = run_cli([argv[0], by_flag, "--output", "machine"])
+            assert code == 2, argv
+            assert "axiom (c): triangle slack for (a, b, c) leaves the cone" in out
+            assert run_cli([argv[0], by_flag, "--tol", "1e-6"])[0] == 0, argv
+            assert run_cli([argv[0], by_file])[0] == 0, argv
+
     def test_per_pair_table_problem_solves(self, tmp_path):
         path = write_problem(tmp_path, per_pair_doc())
         code, out = run_cli(["solve", path, "--audit-gap", "3", "--output", "machine"])
@@ -265,6 +344,22 @@ class TestExitCodes:
             main(["check", str(PROBLEMS / "banach_scalar.json"), "--seed", seed])
         assert exc.value.code == 2
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "x"])
+    def test_bad_tol_is_usage_error(self, tol, capsys):
+        # with inf every membership test passes, with nan every one fails
+        for command in ("validate", "check", "solve"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, str(PROBLEMS / "finite_ladder.json"), "--tol", tol])
+            assert exc.value.code == 2
+            assert "tol must be a finite nonnegative number" in capsys.readouterr().err
+
+    def test_negative_file_tol_names_the_key(self, tmp_path):
+        doc = json.loads((PROBLEMS / "finite_ladder.json").read_text())
+        doc["check"] = {"tol": -1}
+        code, out = run_cli(["check", write_problem(tmp_path, doc), "--output", "machine"])
+        assert code == 2
+        assert "\nerror=check: tol must be nonnegative, got -1.0\n" in out
 
     def test_negative_audit_gap_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

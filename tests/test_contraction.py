@@ -50,17 +50,31 @@ class TestMetricAxioms:
         rho_slack = abs(x[0] - z[0]) + abs(z[0] - y[0]) - abs(x[0] - y[0])
         assert np.allclose(slack, rho_slack * np.array([1.0, 2.0]))
 
-    def test_sampled_suite_passes(self, orthant2_two):
+    def test_euclidean_domain_by_construction(self, orthant2_two):
         space = make_lifted_space(3, orthant2_two, [0.5, 1.5])
-        report = check_metric_axioms(space, n_samples=100, seed=2)
+        report = check_metric_axioms(space)
         assert report.passed
-        assert not report.exhaustive
+        assert report.route == "construction"
+        assert report.pairs_checked == report.triples_checked == 0
+
+    def test_weight_tested_under_the_tolerance_in_force(self, orthant2_two):
+        # the space accepts the weight under the default tolerance
+        space = make_lifted_space(1, orthant2_two, [1.0, -1e-10])
+        assert check_metric_axioms(space).passed
+        report = check_metric_axioms(space, tol=0.0)
+        assert not report.axiom_a_pass and report.axiom_b_pass and report.axiom_c_pass
+        assert report.messages == ["axiom (a): the metric weight is not a cone member"]
 
     def test_finite_suite_exhaustive(self, orthant2_inf):
-        space = two_point_space(orthant2_inf)
+        metric = TableMetric({("a", "b"): np.array([1.0, 1.0])})
+        space = ConeMetricSpace(orthant2_inf, FinitePoints(("a", "b")), metric)
         report = check_metric_axioms(space)
-        assert report.passed and report.exhaustive
+        assert report.passed and report.route == "sweep"
         assert report.pairs_checked == 4 and report.triples_checked == 8
+        # the same distances lifted are a cone metric by construction
+        report = check_metric_axioms(two_point_space(orthant2_inf))
+        assert report.passed and report.route == "construction"
+        assert report.pairs_checked == 4 and report.triples_checked == 0
 
     def test_asymmetric_table_fails_axiom_b(self, orthant2_inf):
         metric = TableMetric(

@@ -103,17 +103,17 @@ class TestParsing:
         doc = base_doc()
         doc["solve"].update(beta=None, max_iter=None)
         doc["check"].update(tol=None, alpha=None)
-        doc["normal_constant"] = None
         problem = parse(doc)
         assert problem.solve.beta is None and problem.solve.max_iter is None
         assert problem.check.tol is None and problem.check.alpha is None
         assert problem.space.cone.normal_constant == 1.0
 
-    def test_top_level_normal_constant_overrides(self):
+    def test_top_level_normal_constant_is_unknown_key(self):
+        # k is set once, in space.cone
         doc = base_doc()
         doc["normal_constant"] = 2.0
-        problem = parse(doc)
-        assert problem.space.cone.normal_constant == 2.0
+        with pytest.raises(ProblemFileError, match=r"^top level: unknown key\(s\) \['normal_constant'\]$"):
+            parse(doc)
 
     def test_weighted_norm(self):
         doc = base_doc()

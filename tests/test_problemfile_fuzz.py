@@ -1,4 +1,8 @@
-"""Mutated problem files at the CLI boundary: every run exits 0, 2, 3 or 4 and never raises."""
+"""Mutated problem files at the CLI boundary: every run exits 0, 2, 3 or 4 and never raises.
+
+The three commands check the same premises, so ``validate`` refuses a file
+exactly when ``check`` and ``solve`` refuse its premises.
+"""
 
 import copy
 import json
@@ -56,7 +60,13 @@ def mutants(draw):
 def test_mutated_problem_exits_with_a_status(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "mutant.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
+    codes = {}
     for argv in COMMANDS:
         with np.errstate(all="ignore"):  # 1e308 entries overflow by design
             code, _ = run_cli([argv[0], str(path), "--output", "machine", *argv[1:]])
         assert code in (0, 2, 3, 4)
+        codes[argv[0]] = code
+    if codes["validate"] == 2:
+        assert codes["check"] == codes["solve"] == 2
+    if codes["check"] in (0, 3):
+        assert codes["validate"] == 0

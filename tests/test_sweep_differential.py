@@ -346,11 +346,32 @@ def test_axioms_match_per_triple_reference(metric):
     for seed in range(16):
         space, _, _ = random_instance(seed, metric, "constant", False)
         report = check_metric_axioms(space, tol=TOL)
-        assert axiom_fields(report) == reference_axioms(space), f"seed {seed}"
-        assert report.exhaustive
+        expected = reference_axioms(space)
+        if metric == "table":
+            assert report.route == "sweep"
+            assert axiom_fields(report) == expected, f"seed {seed}"
+        else:
+            # a lifted metric is decided by construction: the reference's
+            # verdict, from the N^2 norms alone
+            n = len(space.labels)
+            assert report.route == "construction"
+            assert axiom_fields(report) == (*expected[:3], n * n, 0, expected[5][:1]), f"seed {seed}"
         verdicts.add(report.passed)
     if metric == "table":
         assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("cone_name", sorted(CONES))
+def test_axioms_by_construction_refuse_duplicate_positions(cone_name):
+    cone = CONES[cone_name]()
+    w = cone.generators.sum(axis=0)
+    positions = {"a": [0.0, 1.0], "b": [2.0, 0.0], "c": [0.0, 1.0], "d": [2.0, 0.0]}
+    space = ConeMetricSpace(cone, FinitePoints(tuple("dcba"), positions), LiftedMetric("euclidean", w))
+    report = check_metric_axioms(space, tol=TOL)
+    expected = reference_axioms(space)
+    assert expected[:3] == (False, True, True)
+    assert axiom_fields(report) == (*expected[:3], 16, 0, expected[5][:1])
+    assert report.messages == ["axiom (a): d(a, c) vanishes for distinct points"]
 
 
 def test_callable_coefficients_called_once_per_pair(orthant2_inf):
@@ -398,7 +419,12 @@ def test_large_space_counts():
     mapping = TableMapping({l: labels[0] for l in labels})
     coeffs = constant([a * np.eye(3) for a in (0.3, 0.1, 0.1, 0.05)], cone.space)
     axioms = check_metric_axioms(space)
-    assert axioms.passed
+    assert axioms.passed and axioms.route == "construction"
+    assert axioms.pairs_checked == n * n and axioms.triples_checked == 0
+    order = sorted(labels)
+    table = TableMetric({(x, y): space.d(x, y) for x in order for y in order})
+    axioms = check_metric_axioms(ConeMetricSpace(cone, FinitePoints(labels), table))
+    assert axioms.passed and axioms.route == "sweep"
     assert axioms.pairs_checked == n * n and axioms.triples_checked == n**3
     report = check_hypotheses(space, mapping, coeffs)
     assert report.pairs_checked == n * n
