@@ -330,29 +330,29 @@ def _tolerance(text: str) -> float:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_tolerance, default=DEFAULT_MEMBERSHIP_TOL,
-                        help="membership tolerance on facet inner products, "
-                             "unless the file sets check.tol")
     # numpy's generators refuse negative seeds
     common.add_argument("--seed", type=functools.partial(_nonnegative, "seed"), default=0,
                         help="nonnegative seed for sampled checks and probes")
     common.add_argument("--output", choices=("human", "machine"), default="human")
+    with_tol = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_tol.add_argument("--tol", type=_tolerance, default=DEFAULT_MEMBERSHIP_TOL,
+                          help="membership tolerance on facet inner products, "
+                               "unless the file sets check.tol")
     parser = argparse.ArgumentParser(
         prog="conefix",
         description="Fixed points on cone metric spaces with checked hypotheses and certified bounds.",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_validate = sub.add_parser("validate", parents=[common],
+    p_validate = sub.add_parser("validate", parents=[with_tol],
                                 help="check the cone and metric axioms of a problem file")
     p_validate.add_argument("file")
 
-    p_check = sub.add_parser("check", parents=[common],
+    p_check = sub.add_parser("check", parents=[with_tol],
                              help="verify the contraction hypotheses of a problem file")
     p_check.add_argument("file")
 
-    p_solve = sub.add_parser("solve", parents=[common],
+    p_solve = sub.add_parser("solve", parents=[with_tol],
                              help="run the certified fixed-point iteration")
     p_solve.add_argument("file")
     p_solve.add_argument("--trace", action="store_true", help="emit all iterates")

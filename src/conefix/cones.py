@@ -121,7 +121,7 @@ class PolyhedralCone:
     generators: np.ndarray
     facets: np.ndarray
     normal_constant: float = 1.0
-    solid: bool | None = None
+    solid: bool = field(init=False)
 
     def __post_init__(self):
         p = self.space.dim
@@ -142,8 +142,7 @@ class PolyhedralCone:
             raise ContractViolationError(
                 "normal constant must be >= 1 (there are no normal cones below 1)"
             )
-        if self.solid is None:
-            self.solid = self._probe_solid()
+        self.solid = self._probe_solid()
 
     def _probe_solid(self) -> bool:
         # A strictly feasible point certifies a nonempty interior; the sum of
@@ -256,7 +255,6 @@ def normal_constant_lower_bound(
     cone: PolyhedralCone,
     n_samples: int = 512,
     seed: int = 0,
-    space: NormedSpace | None = None,
 ) -> float:
     """Sampled lower bound on the normal constant of the cone.
 
@@ -267,7 +265,6 @@ def normal_constant_lower_bound(
     """
     if n_samples < 1:
         raise ContractViolationError("n_samples must be >= 1")
-    sp = cone.space if space is None else space
     rng = np.random.default_rng(seed)
     gens = cone.generators
     n_gen, p = gens.shape
@@ -283,9 +280,9 @@ def normal_constant_lower_bound(
     qs = (2.0 * u[:, 2] * (u[:, 3] < 0.7)) @ gens
     x = np.concatenate([base[None], gens, np.repeat(gens, n_gen * steps.size, axis=0), xs])
     y = np.concatenate([base[None], gens, lifted.reshape(-1, p), xs + qs])
-    ny = sp.norms(y)
+    ny = cone.space.norms(y)
     keep = ny > 0.0
-    return float(np.max(sp.norms(x[keep]) / ny[keep], initial=0.0))
+    return float(np.max(cone.space.norms(x[keep]) / ny[keep], initial=0.0))
 
 
 def check_declared_normal_constant(

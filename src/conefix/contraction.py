@@ -13,9 +13,9 @@ conditions for the operator-coefficient contraction:
 * ``i5``  — the resolvent ``(I - A3 - A4)^{-1}`` maps the cone into itself,
 * the contraction inequality itself, via its residual vector.
 
-On finite point sets the sweep is exhaustive ("verified") and runs over the
-distance tensor of the space at once; on euclidean domains it is sampled
-("not falsified"), and the report records which.
+On finite point sets the sweep is exhaustive ("verified"); on euclidean
+domains it is sampled ("not falsified"), and the report records which.
+Either way one array kernel computes the residuals of all pairs at once.
 """
 
 from __future__ import annotations
@@ -234,11 +234,17 @@ class ConeMetricSpace:
             return np.where((u == v).all(axis=-1), 0.0, 1.0)
         return euclidean_norms(u - v)
 
+    def distances(self, u, v) -> np.ndarray:
+        """:meth:`d` of stacked points, unchecked: positions in the sorted labels, or coordinates of R^m."""
+        if self.is_finite:
+            return self._dist[u, v]
+        return self._rho(u, v)[..., None] * self.metric.weight
+
     def d(self, x, y) -> np.ndarray:
         """Cone-valued distance between two points."""
         if self.is_finite:
             return self._dist[self._place(x), self._place(y)].copy()
-        return self._rho(self.check_point(x), self.check_point(y)) * self.metric.weight
+        return self.distances(self.check_point(x), self.check_point(y))
 
     def d_norm(self, x, y) -> float:
         """Ambient norm of the distance vector; the scalar the solver watches."""
@@ -260,7 +266,7 @@ class ConeMetricSpace:
             place = np.array([self._place(x) for x in points], dtype=np.intp)
             return self._norms[place[a], place[b]]
         pts = np.array([self.check_point(x) for x in points])
-        values = self.cone.space.norms(self._rho(pts[a], pts[b])[:, None] * self.metric.weight)
+        values = self.cone.space.norms(self.distances(pts[a], pts[b]))
         for k in np.flatnonzero(~np.isfinite(values)):
             values[k] = self.d_norm(points[a[k]], points[b[k]])
         return values
@@ -333,11 +339,6 @@ class ConeMetricSpace:
             except KeyError:
                 pass
         return np.array([index[mapping.apply(self, x)] for x in order], dtype=np.intp)
-
-    def sample_point(self, rng):
-        if self.is_finite:
-            return self.points.labels[int(rng.integers(0, len(self.points.labels)))]
-        return rng.uniform(-10.0, 10.0, self.points.m)
 
 
 # ---------------------------------------------------------------------------
@@ -472,28 +473,18 @@ def contraction_residual(space: ConeMetricSpace, mapping, coeffs, x, y) -> np.nd
 
     Returns ``A1 d(x,y) + A2 d(x,Tx) + A3 d(y,Ty) + A4 d(x,Ty) + A4 d(y,Tx)
     - d(Tx,Ty)``; the inequality holds at (x, y) iff this vector is a cone
-    member.  This is the single-pair reference for the exhaustive sweep of
-    :func:`check_hypotheses`, which computes the same vectors for all pairs
-    at once.
+    member.  This is the single-pair reference for the sweeps of
+    :func:`check_hypotheses`, which compute the same vectors for stacked
+    pairs at once (:func:`_residuals`).
     """
     x = space.check_point(x)
     y = space.check_point(y)
-    return _residual(space, mapping, coeffs.at(x, y), x, y)
-
-
-def _residual(space: ConeMetricSpace, mapping, quad, x, y) -> np.ndarray:
-    """The residual at one pair, from the four coefficient matrices ``quad``."""
+    a1, a2, a3, a4 = coeffs.at(x, y)
     tx = mapping.apply(space, x)
     ty = mapping.apply(space, y)
-    a1, a2, a3, a4 = quad
-    rhs = (
-        a1 @ space.d(x, y)
-        + a2 @ space.d(x, tx)
-        + a3 @ space.d(y, ty)
-        + a4 @ space.d(x, ty)
-        + a4 @ space.d(y, tx)
-    )
-    return rhs - space.d(tx, ty)
+    d = space.d
+    rhs = a1 @ d(x, y) + a2 @ d(x, tx) + a3 @ d(y, ty) + a4 @ d(x, ty) + a4 @ d(y, tx)
+    return rhs - d(tx, ty)
 
 
 def _act(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -502,27 +493,24 @@ def _act(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (matrices @ vectors[..., None])[..., 0]
 
 
-def _finite_residuals(space: ConeMetricSpace, t, stack, q) -> np.ndarray:
-    """Contraction residuals at the flat pair positions ``q`` of a finite space, shape (len(q), p).
+def _residuals(space: ConeMetricSpace, x, y, tx, ty, quads) -> np.ndarray:
+    """Contraction residuals at stacked pairs, shape (n, p): the one kernel of every sweep.
 
-    ``t`` is :meth:`ConeMetricSpace.image_indices` of the mapping and
-    ``stack`` the ``(Q, 4, p, p)`` quadruple stack of the sweep: one
-    quadruple shared by every pair, or one per pair in canonical order.
-    Position ``i * N + j`` is the pair ``(order[i], order[j])``, and its row
-    equals :func:`contraction_residual` there bit for bit.  This is the
-    reference kernel of the exhaustive sweep.
+    Pair k is ``(x[k], y[k])`` with images ``(tx[k], ty[k])``, as positions
+    in the sorted labels ``(n,)`` on a finite space or as coordinates
+    ``(n, m)`` on R^m (see :meth:`ConeMetricSpace.distances`).  ``quads``
+    holds one ``(4, p, p)`` quadruple shared by every pair, or one per pair.
+    Row k equals :func:`contraction_residual` at pair k bit for bit.
     """
-    dist = space.distance_tensor()
-    i, j = np.divmod(q, dist.shape[0])
-    ti, tj = t[i], t[j]
-    a1, a2, a3, a4 = (stack[0] if len(stack) == 1 else stack[q]).swapaxes(0, -3)
+    d = space.distances
+    a1, a2, a3, a4 = (quads[0] if len(quads) == 1 else quads).swapaxes(0, -3)
     return (
-        _act(a1, dist[i, j])
-        + _act(a2, dist[i, ti])
-        + _act(a3, dist[j, tj])
-        + _act(a4, dist[i, tj])
-        + _act(a4, dist[j, ti])
-        - dist[ti, tj]
+        _act(a1, d(x, y))
+        + _act(a2, d(x, tx))
+        + _act(a3, d(y, ty))
+        + _act(a4, d(x, ty))
+        + _act(a4, d(y, tx))
+        - d(tx, ty)
     )
 
 
@@ -599,50 +587,49 @@ def _facet_products(dist, t, quad, facets):
     return products.reshape(-1, n * n), band
 
 
-def _failing_rows(residuals, facets, tol, pair_at, q=None) -> np.ndarray:
-    """Rows of ``residuals`` that leave the cone; the pair of row ``k`` is ``pair_at(q[k])``.
+def _reference_failures(space: ConeMetricSpace, at, tol, pair_at, q) -> np.ndarray:
+    """The sweep positions among ``q`` whose residual leaves the cone, in the order of ``q``.
 
-    The first row with a non-finite entry raises.
+    ``at(q)`` gives the arrays of :func:`_residuals` for the pairs at
+    positions ``q``.  The first pair with a non-finite residual raises.
     """
+    residuals = _residuals(space, *at(q))
     # whole-array tests first; the per-pair reductions only when one fails
     finite = np.isfinite(residuals)
     if not finite.all():
-        k = int(np.argmin(finite.all(axis=-1)))
-        x, y = pair_at(k if q is None else int(q[k]))
+        x, y = pair_at(int(q[np.argmin(finite.all(axis=-1))]))
         raise ContractViolationError(f"contraction residual at ({x}, {y}) has non-finite entries")
-    inside = _act(facets, residuals) >= -tol
-    return np.flatnonzero(~inside.all(axis=-1)) if not inside.all() else np.empty(0, np.intp)
+    inside = _act(space.cone.facets, residuals) >= -tol
+    return q[~inside.all(axis=-1)] if not inside.all() else np.empty(0, np.intp)
 
 
-def _exhaustive_failures(space: ConeMetricSpace, t, stack, tol, pair_at) -> np.ndarray:
+def _exhaustive_failures(space: ConeMetricSpace, t, stack, tol, decide) -> np.ndarray:
     """Flat positions of the pairs whose residual leaves the cone, in pair order.
 
     For a constant family, the fast products of :func:`_facet_products`
     decide every pair outside their band, ``hi`` and above a member and
-    below ``lo`` not (see :func:`check_hypotheses`).  The reference kernel
-    decides the rest, and every pair of a per-pair family or when the fast
-    products cannot be used.
+    below ``lo`` not (see :func:`check_hypotheses`).  ``decide``, the
+    reference (:func:`_reference_failures`), decides the rest, and every
+    pair of a per-pair family or when the fast products cannot be used.
     """
     dist, facets = space.distance_tensor(), space.cone.facets
     n_pairs = dist.shape[0] ** 2
     fast = None
     if len(stack) == 1 and n_pairs >= FAST_MIN_PAIRS:
         fast = _facet_products(dist, t, stack[0], facets)
-    if fast is not None and np.isfinite(fast[0]).all():
-        products, band = fast
-        hi = np.nextafter(-tol + band, np.inf)[:, None]
-        lo = np.nextafter(-tol - band, -np.inf)[:, None]
-        above = products >= hi
-        if above.all():
-            return np.empty(0, np.intp)
-        fails = (products < lo).any(axis=0)
-        undecided = np.flatnonzero(~(fails | above.all(axis=0)))
-        if undecided.size:
-            residuals = _finite_residuals(space, t, stack, undecided)
-            fails[undecided[_failing_rows(residuals, facets, tol, pair_at, undecided)]] = True
-        return np.flatnonzero(fails)
-    every = np.arange(n_pairs)
-    return _failing_rows(_finite_residuals(space, t, stack, every), facets, tol, pair_at)
+    if fast is None or not np.isfinite(fast[0]).all():
+        return decide(np.arange(n_pairs))
+    products, band = fast
+    hi = np.nextafter(-tol + band, np.inf)[:, None]
+    lo = np.nextafter(-tol - band, -np.inf)[:, None]
+    above = products >= hi
+    if above.all():
+        return np.empty(0, np.intp)
+    fails = (products < lo).any(axis=0)
+    undecided = np.flatnonzero(~(fails | above.all(axis=0)))
+    if undecided.size:
+        fails[decide(undecided)] = True
+    return np.flatnonzero(fails)
 
 
 @dataclass(eq=False)
@@ -703,23 +690,36 @@ def _label_pair(order):
 
 
 def _resolve_pairs(space: ConeMetricSpace, pair_source):
-    """Number of pairs, the pair at a sweep position, and whether the sweep is exhaustive."""
+    """Number of pairs, the pair at a sweep position, whether the sweep is exhaustive, and the sample.
+
+    A sample is drawn at once: positions in the sorted labels ``(n, 2)``, or
+    coordinates ``(n, 2, m)`` on R^m.  An exhaustive sweep has none.
+    """
     if pair_source == "all":
         if not space.is_finite:
             raise ContractViolationError(
                 "exhaustive pair sweeps need a finite space; use ('sampled', n, seed)"
             )
         order = space.points.order
-        return len(order) ** 2, _label_pair(order), True
+        return len(order) ** 2, _label_pair(order), True, None
     if isinstance(pair_source, tuple) and len(pair_source) == 3 and pair_source[0] == "sampled":
-        _, n, seed = pair_source
-        if int(n) < 1:
+        n, seed = int(pair_source[1]), int(pair_source[2])
+        if n < 1:
             raise ContractViolationError("sampled pair source needs n >= 1")
-        rng = np.random.default_rng(int(seed))
-        # Sequential draws keep any prefix of the sample identical, so
-        # enlarging n can only add pairs (checker monotonicity).
-        pairs = [(space.sample_point(rng), space.sample_point(rng)) for _ in range(int(n))]
-        return len(pairs), pairs.__getitem__, False
+        m, p = 1 if space.is_finite else space.points.m, space.cone.space.dim
+        if max(n * 2 * m, n * p) > TABLE_MAX_ELEMENTS:
+            raise ContractViolationError(f"sample of {n} pairs is too large ({n}x2x{m} points, "
+                                         f"{n}x{p} residuals, limit {TABLE_MAX_ELEMENTS})")
+        rng = np.random.default_rng(seed)
+        # one draw gives the stream of one point at a time: any prefix of the
+        # sample is unchanged, so enlarging n only adds pairs (monotonicity)
+        if space.is_finite:
+            order, index = space.points.order, space.points.index
+            place = np.array([index[label] for label in space.points.labels], dtype=np.intp)
+            points = place[rng.integers(0, len(place), (n, 2))]
+            return n, lambda i: (order[points[i, 0]], order[points[i, 1]]), False, points
+        points = rng.uniform(-10.0, 10.0, (n, 2, m))
+        return n, lambda i: (points[i, 0], points[i, 1]), False, points
     raise ContractViolationError(f"unknown pair source {pair_source!r}")
 
 
@@ -760,20 +760,24 @@ def check_hypotheses(
     ``k`` defaults to the cone's declared normal constant.  Coefficients are
     fetched once per pair in sweep order (once in all for a constant
     family) into one quadruple stack, and the operator-level conditions are
-    evaluated over the whole stack at once.  A sampled sweep computes its
-    residuals pair by pair.  Ties in the witnessed maxima are broken by the
-    first pair in sweep order, and witnesses are listed in sweep order, so
-    the report is independent of how the residuals were evaluated.
+    evaluated over the whole stack at once.  Every residual, of an
+    exhaustive or a sampled sweep, comes from one array kernel over stacked
+    pairs (:func:`_residuals`), which equals :func:`contraction_residual`
+    bit for bit; a sample is drawn at once, and on R^m the images of its
+    points are stacked products.  Ties in the witnessed maxima
+    are broken by the first pair in sweep order, and witnesses are listed in
+    sweep order, so the report is independent of how the residuals were
+    evaluated.
 
     Under a constant family, the exhaustive sweep decides membership from
     facet products computed straight from the distance tensor
     (:func:`_facet_products`), inside a proven rounding band around the
-    products of the per-pair reference kernel (:func:`_finite_residuals`,
-    then :func:`_act`).  The reference kernel runs only on the pairs inside
-    the band, on the witnesses, and on every pair of a per-pair family, of
-    a space with fewer than :data:`FAST_MIN_PAIRS` pairs or of one whose
-    band scale reaches :data:`BAND_SCALE_LIMIT`; so every field of the
-    report is what a pair-by-pair sweep gives, bit for bit.
+    products of the reference (:func:`_residuals`, then :func:`_act`).  The
+    reference runs only on the pairs inside the band, on the witnesses, and
+    on every pair of a sampled sweep, of a per-pair family, of a space with
+    fewer than :data:`FAST_MIN_PAIRS` pairs or of one whose band scale
+    reaches :data:`BAND_SCALE_LIMIT`; so every field of the report is what
+    a pair-by-pair sweep gives, bit for bit.
 
     *Band.*  At a pair, write ``w = |A1||d1| + |A2||d2| + |A3||d3| +
     |A4|(|d4| + |d5|) + |d6|`` for the distances ``d(x, y)``, ``d(x, Tx)``,
@@ -798,7 +802,7 @@ def check_hypotheses(
     k = space.cone.normal_constant if k is None else float(k)
     if k < 1.0:
         raise ContractViolationError("normal constant must be >= 1")
-    n_pairs, pair_at, exhaustive = _resolve_pairs(space, pair_source)
+    n_pairs, pair_at, exhaustive, points = _resolve_pairs(space, pair_source)
     cone = space.cone
     # quadruple q serves sweep position q; a constant family's one serves all
     count = 1 if getattr(coeffs, "is_constant", False) else n_pairs
@@ -822,20 +826,29 @@ def check_hypotheses(
         raise ContractViolationError("coefficients have non-finite entries")
     alphas, flags, s_norms, i5_detail = _operator_stats(stack, cone, tol)
 
-    if exhaustive:
+    if space.is_finite:
         t = space.image_indices(mapping)
-        failing = _exhaustive_failures(space, t, stack, tol, pair_at)
-        convicted = failing[:MAX_WITNESSES]
-        if convicted.size:
-            residuals = _finite_residuals(space, t, stack, convicted)
+        image = t.__getitem__
     else:
-        residuals = np.array([
-            _residual(space, mapping, stack[i % len(stack)], *map(space.check_point, pair_at(i)))
-            for i in range(n_pairs)
-        ])
-        failing = _failing_rows(residuals, cone.facets, tol, pair_at)
-        convicted = failing[:MAX_WITNESSES]
-        residuals = residuals[convicted]
+        if not isinstance(mapping, AffineMapping):
+            mapping.apply(space, points[0, 0])  # a table mapping refuses R^m here
+
+        def image(u):  # bit for bit AffineMapping.apply, on stacked points
+            return _act(mapping.b, u) + mapping.c
+
+    def at(q):
+        """The arrays of :func:`_residuals` for the pairs at sweep positions ``q``."""
+        x, y = np.divmod(q, len(t)) if exhaustive else (points[q, 0], points[q, 1])
+        return x, y, image(x), image(y), stack if len(stack) == 1 else stack[q]
+
+    def decide(q):
+        return _reference_failures(space, at, tol, pair_at, q)
+
+    failing = _exhaustive_failures(space, t, stack, tol, decide) if exhaustive else decide(np.arange(n_pairs))
+    convicted = failing[:MAX_WITNESSES]
+    if convicted.size:
+        residuals = _residuals(space, *at(convicted))
+        worsts = np.min(_act(cone.facets, residuals), axis=-1)
 
     # (sweep position, rank within the pair, witness); sorting restores the
     # order in which a pair-by-pair sweep meets them.
@@ -847,28 +860,18 @@ def check_hypotheses(
             q = int(firsts[rank])
             detail = i5_detail if name == "i5" else f"{name}: operator maps a generator out of the cone"
             events.append((q, rank, Witness(name, *pair_at(q), detail)))
-    if convicted.size:
-        worsts = np.min(_act(cone.facets, residuals), axis=-1)
     for row, i in enumerate(convicted):
         worst = float(worsts[row])
         detail = f"residual leaves the cone (worst facet product {worst:.6g})"
         events.append((int(i), 4, Witness("contraction", *pair_at(i), detail, worst, residuals[row])))
-    witnesses = [w for _, _, w in sorted(events, key=lambda e: e[:2])][:MAX_WITNESSES]
-
-    def witness(condition, x, y, detail, value):
-        if len(witnesses) < MAX_WITNESSES:
-            witnesses.append(Witness(condition, x, y, detail, value))
+    witnesses = [w for _, _, w in sorted(events, key=lambda e: e[:2])]
 
     a_at = int(np.argmax(alphas))
     alpha, alpha_pair = float(alphas[a_at]), pair_at(a_at)
     i1 = alpha < 1.0 / k
     if not i1:
-        witness(
-            "i1",
-            *alpha_pair,
-            f"coefficient norm sum {alpha:.17g} is not below 1/k = {1.0 / k:.17g}",
-            value=alpha,
-        )
+        detail = f"coefficient norm sum {alpha:.17g} is not below 1/k = {1.0 / k:.17g}"
+        witnesses.append(Witness("i1", *alpha_pair, detail, alpha))
     defined = ~np.isnan(s_norms)
     beta_defined = bool(defined.all())
     beta, beta_pair = float("nan"), None
@@ -877,19 +880,16 @@ def check_hypotheses(
         beta, beta_pair = float(s_norms[b_at]), pair_at(b_at)
     i2 = beta_defined and beta < 1.0
     if beta_defined and not i2:
-        witness("i2", *beta_pair, f"composite operator norm {beta:.17g} is not below 1", value=beta)
+        detail = f"composite operator norm {beta:.17g} is not below 1"
+        witnesses.append(Witness("i2", *beta_pair, detail, beta))
 
-    mismatches = []
-    if declared_alpha is not None and abs(declared_alpha - alpha) > 1e-9 * max(1.0, abs(alpha)):
-        mismatches.append(
-            f"declared alpha {declared_alpha:.17g} disagrees with witnessed {alpha:.17g}"
-        )
-    if declared_beta is not None and beta_defined and abs(declared_beta - beta) > 1e-9 * max(
-        1.0, abs(beta)
-    ):
-        mismatches.append(
-            f"declared beta {declared_beta:.17g} disagrees with witnessed {beta:.17g}"
-        )
+    mismatches = [
+        f"declared {name} {declared:.17g} disagrees with witnessed {value:.17g}"
+        for name, declared, value, known in [
+            ("alpha", declared_alpha, alpha, True), ("beta", declared_beta, beta, beta_defined)
+        ]
+        if declared is not None and known and abs(declared - value) > 1e-9 * max(1.0, abs(value))
+    ]
 
     return HypothesisReport(
         alpha=alpha,
@@ -902,7 +902,7 @@ def check_hypotheses(
         i4_pass=bool(passes[2]),
         i5_pass=bool(passes[3]),
         contraction_pass=failing.size == 0,
-        witnesses=witnesses,
+        witnesses=witnesses[:MAX_WITNESSES],
         pairs_checked=n_pairs,
         exhaustive=exhaustive,
         alpha_pair=alpha_pair,

@@ -71,23 +71,24 @@ def invariance_check(matrix, cone: PolyhedralCone, tol: float = DEFAULT_MEMBERSH
     return np.all(cone_members(cone, images, tol), axis=-1)
 
 
-def resolvent_stack(m3, m4, space: NormedSpace, tol: float = RESOLVENT_AGREE_TOL):
+def resolvent_stack(m3, m4, space: NormedSpace):
     """Certified inverses of ``I - A3 - A4`` for stacks ``(..., p, p)`` of ``A3`` and ``A4``.
 
     Precondition, entry by entry: ``norm(A3) + norm(A4) < 1`` in the ambient
     induced norm (the certifying sufficient condition for invertibility).
     Each inverse is computed by direct solve and must leave residuals
     ``r1 = norm((I-A3-A4) X - I)`` and ``r2 = norm(X (I-A3-A4) - I)`` below
-    ``tol``.  By the Banach lemma, ``r1 < 1`` gives
+    :data:`RESOLVENT_AGREE_TOL`.  By the Banach lemma, ``r1 < 1`` gives
     ``norm(X - (I-A3-A4)^{-1}) <= norm(X) r1 / (1 - r1)``, and that bound
-    must be within ``tol`` relative to ``max(1, norm(X))``.
+    must be within the same tolerance relative to ``max(1, norm(X))``.
 
     Returns the inverses, NaN where an entry cannot be certified, and the
     error for the first such entry in C order (None when every entry is
     certified): a :class:`HypothesisFailureError` for condition ``i1`` when
     the precondition fails, a :class:`NumericError` when a residual or the
-    Banach-lemma bound misses ``tol``.
+    Banach-lemma bound misses the tolerance.
     """
+    tol = RESOLVENT_AGREE_TOL
     eye = np.eye(space.dim)
     sum_norms = induced_norm(m3, space) + induced_norm(m4, space)
     live = sum_norms < 1.0

@@ -285,7 +285,8 @@ CHECK = {
     "beta": Key(_number, required=False),
 }
 PAIR_SOURCE = {
-    "sampled": Key({"n": Key(_int), "seed": Key(_int, required=False, default=0, sign="nonnegative")}),
+    "sampled": Key({"n": Key(_int, sign="positive"),
+                    "seed": Key(_int, required=False, default=0, sign="nonnegative")}),
 }
 
 SPACE = {

@@ -260,7 +260,7 @@ def _is_orthant(cone: PolyhedralCone) -> bool:
 
 
 def generate_certified_instance(
-    seed: int, space_size: int, cone: PolyhedralCone, max_retries: int = GENERATOR_MAX_RETRIES
+    seed: int, space_size: int, cone: PolyhedralCone
 ) -> FiniteInstance:
     """Deterministic-in-seed finite instance passing every certifying condition.
 
@@ -276,7 +276,7 @@ def generate_certified_instance(
     rng = np.random.default_rng(int(seed))
     k = cone.normal_constant
     budget = GENERATOR_ALPHA_MARGIN / k
-    for _ in range(max_retries):
+    for _ in range(GENERATOR_MAX_RETRIES):
         # gamma / (1 - gamma) <= 0.57 * budget keeps the ladder's stretch
         # safely under the leading coefficient drawn below.
         t = 0.57 * budget
@@ -315,7 +315,7 @@ def generate_certified_instance(
             return instance
     raise GenerationError(
         f"no certified instance found for seed {seed}, size {space_size} "
-        f"after {max_retries} attempts"
+        f"after {GENERATOR_MAX_RETRIES} attempts"
     )
 
 

@@ -56,6 +56,8 @@ BAD_NUMBERS = [
     (("solve", "max_iter"), '"x"', ["solve"]),
     (("check", "pair_source", "sampled", "n"), '"many"', ["check"]),
     (("check", "pair_source", "sampled", "seed"), "-1", ["check"]),
+    (("check", "pair_source", "sampled", "n"), "0", ["validate"]),
+    (("check", "pair_source", "sampled", "n"), "-3", ["check"]),
     (("solve", "eps"), "NaN", ["solve"]),
     (("solve", "beta"), "NaN", ["solve", "--force"]),
     (("solve", "eps"), "1e400", ["solve"]),
@@ -353,6 +355,29 @@ class TestExitCodes:
                 main([command, str(PROBLEMS / "finite_ladder.json"), "--tol", tol])
             assert exc.value.code == 2
             assert "tol must be a finite nonnegative number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--tol", "0.5", "validate", "problems/finite_ladder.json"],
+            ["--output", "machine", "validate", "problems/finite_ladder.json"],
+            ["--seed", "3", "check", "problems/banach_scalar.json"],
+            ["probe", "--k", "2", "--alpha-min", "0.5", "--alpha-max", "0.9", "--instances", "2", "--tol", "5"],
+        ],
+        ids=["top-level-tol", "top-level-output", "top-level-seed", "probe-tol"],
+    )
+    def test_option_where_it_does_not_act_is_usage_error(self, argv, capsys, monkeypatch):
+        # options go after the command, and only to the commands they act on
+        monkeypatch.chdir(REPO_ROOT)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: conefix" in capsys.readouterr().err
+
+    def test_options_after_the_command_act(self):
+        code, out = run_cli(["validate", str(PROBLEMS / "finite_ladder.json"), "--tol", "0.5", "--output", "machine"])
+        assert code == 0
+        assert "\ntol=0.5\n" in out
 
     def test_negative_file_tol_names_the_key(self, tmp_path):
         doc = json.loads((PROBLEMS / "finite_ladder.json").read_text())

@@ -1,8 +1,8 @@
 """Array sweeps against their per-pair and per-triple references.
 
-The exhaustive hypothesis sweep, the finite metric-axiom sweep, the
-distance lookups of a finite space and the bound audit work on whole
-arrays at once.  Their references here go pair by pair (through the public
+The exhaustive and sampled hypothesis sweeps, the finite metric-axiom
+sweep, the distance lookups of a finite space and the bound audit work on
+whole arrays at once.  Their references here go pair by pair (through the public
 single-pair ``contraction_residual``) and triple by triple, the way they
 were first written, and every field of the results must agree exactly.
 The fast facet products that decide most pairs of the exhaustive sweep
@@ -313,10 +313,27 @@ def test_sweep_matches_per_pair_reference(metric, family, failing):
         assert contraction_failures >= 6
 
 
+@pytest.mark.parametrize("metric,family,failing", CASES)
+def test_finite_sampled_sweep_matches_per_pair_reference(metric, family, failing):
+    # the sample draws labels one at a time, in the order the space was given them
+    outcomes = set()
+    for seed in range(10):
+        space, mapping, coeffs = random_instance(seed, metric, family, failing)
+        for n in (1, 7, 60):
+            draw = np.random.default_rng(seed + 100)
+            labels = space.points.labels
+            pairs = [tuple(labels[int(draw.integers(0, len(labels)))] for _ in "xy") for _ in range(n)]
+            expected = reference_report(space, mapping, coeffs, pairs=pairs)
+            report = check_hypotheses(space, mapping, coeffs, pair_source=("sampled", n, seed + 100), tol=TOL)
+            assert report_fields(report) == expected, f"seed {seed}, n {n}"
+            assert not report.exhaustive
+            outcomes.add(report.contraction_pass)
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("family", ["constant", "callable"])
 def test_sampled_sweep_matches_per_pair_reference(family):
-    # the sampled euclidean sweep keeps its pair loop but shares the
-    # reduction to a report with the exhaustive sweep
+    # the euclidean sample is drawn one point at a time here
     outcomes = set()
     for seed in range(6):
         rng = np.random.default_rng(seed)
@@ -331,7 +348,7 @@ def test_sampled_sweep_matches_per_pair_reference(family):
         else:
             coeffs = CallableCoefficients(lambda x, y: quad)
         draw = np.random.default_rng(seed + 100)
-        pairs = [(space.sample_point(draw), space.sample_point(draw)) for _ in range(40)]
+        pairs = [(draw.uniform(-10.0, 10.0, m), draw.uniform(-10.0, 10.0, m)) for _ in range(40)]
         expected = reference_report(space, mapping, coeffs, pairs=pairs)
         report = check_hypotheses(space, mapping, coeffs, pair_source=("sampled", 40, seed + 100))
         assert report_fields(report) == expected, f"seed {seed}"
@@ -454,6 +471,12 @@ class TestSweepErrors:
         ]:
             with pytest.raises(ContractViolationError, match=f"^{message}$"):
                 space.image_indices(TableMapping(table))
+
+    def test_table_mapping_over_euclidean_domain(self, orthant2_inf):
+        space = make_lifted_space(2, orthant2_inf, [1.0, 1.0])
+        coeffs = constant([0.1 * np.eye(2)] * 4, orthant2_inf.space)
+        with pytest.raises(ContractViolationError, match="^table mappings act on finite point sets only$"):
+            check_hypotheses(space, TableMapping({"a": "a"}), coeffs, pair_source=("sampled", 3, 0))
 
     def test_missing_table_entry(self, orthant2_inf):
         # no sweep ever meets a missing pair: the space refuses the table
@@ -698,6 +721,33 @@ class TestTableLimit:
         check_hypotheses(space, inst.mapping, inst.coeffs, pair_source=("sampled", 5, 0))
         assert check_hypotheses(space, inst.mapping, inst.coeffs).passed
 
+    def test_oversized_sample_is_refused(self, orthant3_inf, monkeypatch):
+        # 5 pairs: 5 x 2 x 2 = 20 coordinates on R^2, 5 x 3 = 15 residual entries
+        space = make_lifted_space(2, orthant3_inf, [1.0, 1.0, 1.0])
+        mapping = AffineMapping(0.5 * np.eye(2), [1.0, 0.0])
+        coeffs = constant([0.1 * np.eye(3)] * 4, orthant3_inf.space)
+        inst = generate_certified_instance(3, 4, orthant3_inf)
+        monkeypatch.setattr(contraction, "TABLE_MAX_ELEMENTS", 19)
+        with pytest.raises(ContractViolationError, match=r"^sample of 5 pairs is too large .*limit 19\)$"):
+            check_hypotheses(space, mapping, coeffs, pair_source=("sampled", 5, 0))
+        monkeypatch.setattr(contraction, "TABLE_MAX_ELEMENTS", 20)
+        assert check_hypotheses(space, mapping, coeffs, pair_source=("sampled", 5, 0)).pairs_checked == 5
+        # on a finite space the residuals are the larger: 5 x 2 positions, 5 x 3 entries
+        monkeypatch.setattr(contraction, "TABLE_MAX_ELEMENTS", 14)
+        with pytest.raises(ContractViolationError, match=r"5x2x1 points, 5x3 residuals, limit 14"):
+            check_hypotheses(inst.space, inst.mapping, inst.coeffs, pair_source=("sampled", 5, 0))
+
+    def test_oversized_sample_cli_exits_2(self, monkeypatch):
+        # banach_scalar.json samples 200 pairs of R^1 into a 2-D cone: 400 entries each
+        monkeypatch.setattr(contraction, "TABLE_MAX_ELEMENTS", 399)
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        for command in ("check", "solve"):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = cli.main([command, "problems/banach_scalar.json", "--output", "machine"])
+            assert code == 2
+            assert "error=sample of 200 pairs is too large" in out.getvalue()
+
     def test_cli_exits_2(self, monkeypatch):
         monkeypatch.setattr(contraction, "TABLE_MAX_ELEMENTS", 1)
         monkeypatch.chdir(Path(__file__).resolve().parent.parent)
@@ -898,15 +948,15 @@ def test_band_bounds_fast_products(instance):
 
 
 def counting_reference_kernel(monkeypatch):
-    """Patch the reference kernel of the exhaustive sweep; the list collects its pair counts."""
+    """Patch the residual kernel of every sweep; the list collects its pair counts."""
     counted = []
-    kernel = contraction._finite_residuals
+    kernel = contraction._residuals
 
-    def counting(space, t, stack, q):
-        counted.append(len(q))
-        return kernel(space, t, stack, q)
+    def counting(space, x, y, tx, ty, quads):
+        counted.append(len(x))
+        return kernel(space, x, y, tx, ty, quads)
 
-    monkeypatch.setattr(contraction, "_finite_residuals", counting)
+    monkeypatch.setattr(contraction, "_residuals", counting)
     return counted
 
 
