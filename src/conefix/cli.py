@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .cones import DEFAULT_MEMBERSHIP_TOL, check_declared_normal_constant, validate_cone
-from .contraction import CONDITIONS, check_hypotheses, check_metric_axioms
+from .contraction import check_hypotheses, check_metric_axioms
 from .errors import ConefixError, ContractViolationError, NonConvergenceError, ProblemFileError
 from .problemfile import parse_problem_file
 from .solver import picard_solve, probe_open_problem, verify_proof_bounds
@@ -103,17 +103,38 @@ def _premises(problem, args):
         entries.append(("cone.normal_audit_bound", bound))
     entries += [
         ("metric.route", metric_report.route),
-        ("metric.axiom_a_pass", metric_report.axiom_a_pass),
-        ("metric.axiom_b_pass", metric_report.axiom_b_pass),
-        ("metric.axiom_c_pass", metric_report.axiom_c_pass),
+        *((f"metric.axiom_{name}_pass", ok) for name, ok in metric_report.axioms.items()),
         ("metric.pairs_checked", metric_report.pairs_checked),
         ("metric.triples_checked", metric_report.triples_checked),
     ]
     return entries, failures
 
 
+def _declaration_mismatches(problem, report):
+    """The file's declarations that the witnessed ``alpha`` and ``beta`` refute, as messages.
+
+    ``check.alpha`` and ``check.beta`` must equal the witnessed values within
+    ``1e-9 max(1, |value|)``.  ``solve.beta`` must not be below the witnessed
+    beta, or the solver would plan too few steps.  A NaN beta refutes nothing.
+    """
+    check = problem.check
+    mismatches = [
+        f"declared {name} {declared:.17g} disagrees with witnessed {value:.17g}"
+        for name, declared, value in [("alpha", check.alpha, report.alpha), ("beta", check.beta, report.beta)]
+        if declared is not None and abs(declared - value) > 1e-9 * max(1.0, abs(value))
+    ]
+    declared = None if problem.solve is None else problem.solve.beta
+    if declared is not None and declared < report.beta:
+        mismatches.append(f"declared solve beta {declared:.17g} is below witnessed {report.beta:.17g}")
+    return mismatches
+
+
 def _run_check(problem, args):
-    """Refuse a problem whose premises fail, then sweep the hypotheses."""
+    """Refuse a problem whose premises fail, sweep the hypotheses and audit the declarations.
+
+    Returns the report, its entries, and the verdict: every condition holds
+    and the witnessed values refute no declaration of the file.
+    """
     _, failures = _premises(problem, args)
     if failures:
         section, message = failures[0]
@@ -121,30 +142,25 @@ def _run_check(problem, args):
     source = problem.check.pair_source
     if source == "all" and not problem.space.is_finite:
         source = ("sampled", 200, args.seed)
-    return check_hypotheses(
+    report = check_hypotheses(
         problem.space,
         problem.mapping,
         problem.coeffs,
         k=problem.space.cone.normal_constant,
         pair_source=source,
         tol=_tol(problem, args),
-        declared_alpha=problem.check.alpha,
-        declared_beta=problem.check.beta,
     )
-
-
-def _report_entries(report):
+    mismatches = _declaration_mismatches(problem, report)
     entries = [
         ("pairs_checked", report.pairs_checked),
         ("exhaustive", report.exhaustive),
         ("k", report.k),
         ("alpha", report.alpha),
         ("beta", report.beta),
+        *((f"{name}_pass", passed) for name, passed in report.conditions.items()),
+        *((f"declaration_mismatch.{i}", msg) for i, msg in enumerate(mismatches)),
     ]
-    entries += [(f"{name}_pass", getattr(report, f"{name}_pass")) for name in CONDITIONS]
-    for i, msg in enumerate(report.declaration_mismatches):
-        entries.append((f"declaration_mismatch.{i}", msg))
-    return entries
+    return report, entries, report.passed and not mismatches
 
 
 def cmd_validate(args):
@@ -162,11 +178,9 @@ def cmd_check(args):
         raise ProblemFileError("check needs a coefficients section", "coefficients")
     if problem.mapping is None:
         raise ProblemFileError("check needs a mapping section", "mapping")
-    report = _run_check(problem, args)
-    ok = report.passed and not report.declaration_mismatches
+    report, check_entries, ok = _run_check(problem, args)
     status = "ok" if ok else "hypothesis-failed"
-    entries = [("command", "check"), ("file", args.file), ("exit_status", status)]
-    entries += _report_entries(report)
+    entries = [("command", "check"), ("file", args.file), ("exit_status", status), *check_entries]
     entries += _witness_entries(report, 17 if args.output == "machine" else 6)
     return entries, status
 
@@ -179,23 +193,21 @@ def cmd_solve(args):
         raise ProblemFileError("solve needs a solve section", "solve")
 
     entries = [("command", "solve"), ("file", args.file)]
-    report = None
+    check_entries = []
+    beta, beta_source = problem.solve.beta, "declared"
     if args.force:
-        if problem.solve.beta is None:
+        if beta is None:
             raise ProblemFileError("--force needs an explicit beta in the solve section", "solve")
-        beta, beta_source = problem.solve.beta, "declared"
     else:
         if problem.coeffs is None:
             raise ProblemFileError("solve without --force needs a coefficients section", "coefficients")
-        report = _run_check(problem, args)
-        if not report.passed or report.declaration_mismatches:
+        report, check_entries, ok = _run_check(problem, args)
+        if not ok:
             entries.insert(2, ("exit_status", "hypothesis-failed"))
-            entries += _report_entries(report)
+            entries += check_entries
             entries += _witness_entries(report, 17 if args.output == "machine" else 6)
             return entries, "hypothesis-failed"
-        if problem.solve.beta is not None:
-            beta, beta_source = problem.solve.beta, "declared"
-        else:
+        if beta is None:
             beta, beta_source = report.beta, "witnessed"
 
     sig = 17 if args.output == "machine" else 6
@@ -240,8 +252,7 @@ def cmd_solve(args):
         ("certificate.eps", cert.eps),
         ("certificate.bound_at_n", cert.bound_at_n),
     ]
-    if report is not None:
-        entries += _report_entries(report)
+    entries += check_entries
     if args.audit_gap is not None:
         audit = verify_proof_bounds(
             problem.space, result.trace, cert.k, cert.beta, max_gap=args.audit_gap
@@ -317,14 +328,19 @@ def _nonnegative(name: str, text: str) -> int:
     return value
 
 
-def _tolerance(text: str) -> float:
-    """The argparse type of ``--tol``: with inf or NaN every membership test would pass or fail."""
+def _finite(name: str, text: str, nonnegative: bool = False) -> float:
+    """The argparse type of the number option ``name``, bound with functools.partial.
+
+    inf and NaN are refused: with either, every membership test would pass
+    or fail, and the probe's ranges and step counts are undefined.
+    """
     try:
         value = float(text)
     except ValueError:
-        value = -1.0
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"tol must be a finite nonnegative number, got {text!r}")
+        value = math.nan
+    if not math.isfinite(value) or (nonnegative and value < 0):
+        kind = "finite nonnegative number" if nonnegative else "finite number"
+        raise argparse.ArgumentTypeError(f"{name} must be a {kind}, got {text!r}")
     return value
 
 
@@ -335,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="nonnegative seed for sampled checks and probes")
     common.add_argument("--output", choices=("human", "machine"), default="human")
     with_tol = argparse.ArgumentParser(add_help=False, parents=[common])
-    with_tol.add_argument("--tol", type=_tolerance, default=DEFAULT_MEMBERSHIP_TOL,
+    with_tol.add_argument("--tol", type=functools.partial(_finite, "tol", nonnegative=True),
+                          default=DEFAULT_MEMBERSHIP_TOL,
                           help="membership tolerance on facet inner products, "
                                "unless the file sets check.tol")
     parser = argparse.ArgumentParser(
@@ -366,11 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
         "probe", parents=[common],
         help="EXPERIMENTAL sweep of the coefficient-sum regime [1/k, 1) with k > 1",
     )
-    p_probe.add_argument("--k", type=float, required=True)
-    p_probe.add_argument("--alpha-min", type=float, required=True)
-    p_probe.add_argument("--alpha-max", type=float, required=True)
+    p_probe.add_argument("--k", type=functools.partial(_finite, "k"), required=True)
+    p_probe.add_argument("--alpha-min", type=functools.partial(_finite, "alpha-min"), required=True)
+    p_probe.add_argument("--alpha-max", type=functools.partial(_finite, "alpha-max"), required=True)
     p_probe.add_argument("--instances", type=functools.partial(_nonnegative, "instances"), default=10)
-    p_probe.add_argument("--eps", type=float, default=1e-8)
+    p_probe.add_argument("--eps", type=functools.partial(_finite, "eps"), default=1e-8)
     return parser
 
 

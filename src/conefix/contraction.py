@@ -422,7 +422,10 @@ class PerPairCoefficients:
     def __post_init__(self):
         if not self.table:
             raise ContractViolationError("per-pair coefficient table is empty")
-        self.stack = np.array(list(self.table.values()), dtype=float)
+        try:
+            self.stack = np.array(list(self.table.values()), dtype=float)
+        except ValueError:  # quadruples of mixed shapes
+            raise ContractViolationError("per-pair coefficients must be (4, p, p) arrays of one shape") from None
         shape = self.stack.shape
         if len(shape) != 4 or shape[1] != 4 or shape[2] != shape[3]:
             raise ContractViolationError(
@@ -651,33 +654,26 @@ class HypothesisReport:
     ``alpha`` and ``beta`` are witnessed maxima over the checked pairs (the
     coefficient norm sum and the composite operator norm); ``exhaustive``
     distinguishes a verified finite sweep from a sampled one.
+    ``conditions`` maps each name of :data:`CONDITIONS`, in that order, to
+    whether the condition holds.
     """
 
     alpha: float
     beta: float
     k: float
-    i1_pass: bool
-    i2_pass: bool
-    i3_pass: bool
-    hb_pass: bool
-    i4_pass: bool
-    i5_pass: bool
-    contraction_pass: bool
+    conditions: dict[str, bool]
     witnesses: list[Witness]
     pairs_checked: int
     exhaustive: bool
     alpha_pair: tuple | None = None
     beta_pair: tuple | None = None
-    declared_alpha: float | None = None
-    declared_beta: float | None = None
-    declaration_mismatches: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return not self.failing_conditions()
+        return all(self.conditions.values())
 
     def failing_conditions(self) -> list[str]:
-        return [name for name in CONDITIONS if not getattr(self, f"{name}_pass")]
+        return [name for name, passed in self.conditions.items() if not passed]
 
 
 MAX_WITNESSES = 25
@@ -752,8 +748,6 @@ def check_hypotheses(
     k: float | None = None,
     pair_source="all",
     tol: float = DEFAULT_MEMBERSHIP_TOL,
-    declared_alpha: float | None = None,
-    declared_beta: float | None = None,
 ) -> HypothesisReport:
     """Sweep the certifying conditions over a pair source.
 
@@ -807,6 +801,9 @@ def check_hypotheses(
     # quadruple q serves sweep position q; a constant family's one serves all
     count = 1 if getattr(coeffs, "is_constant", False) else n_pairs
     p = cone.space.dim
+    if count > 1 and count * 4 * p * p > TABLE_MAX_ELEMENTS:
+        raise ContractViolationError(f"coefficients of {count} pairs are too large "
+                                     f"({count}x4x{p}x{p} entries, limit {TABLE_MAX_ELEMENTS})")
     quads = [coeffs.at(*pair_at(q)) for q in range(count)]
     try:
         stack = np.array(quads, dtype=float)
@@ -855,7 +852,7 @@ def check_hypotheses(
     events = []
     passes = flags.all(axis=0)
     firsts = np.argmin(flags, axis=0)
-    for rank, name in enumerate(("i3", "hb", "i4", "i5")):
+    for rank, name in enumerate(CONDITIONS[2:6]):  # the operator-level conditions of ``flags``
         if not passes[rank]:
             q = int(firsts[rank])
             detail = i5_detail if name == "i5" else f"{name}: operator maps a generator out of the cone"
@@ -883,33 +880,11 @@ def check_hypotheses(
         detail = f"composite operator norm {beta:.17g} is not below 1"
         witnesses.append(Witness("i2", *beta_pair, detail, beta))
 
-    mismatches = [
-        f"declared {name} {declared:.17g} disagrees with witnessed {value:.17g}"
-        for name, declared, value, known in [
-            ("alpha", declared_alpha, alpha, True), ("beta", declared_beta, beta, beta_defined)
-        ]
-        if declared is not None and known and abs(declared - value) > 1e-9 * max(1.0, abs(value))
-    ]
-
     return HypothesisReport(
-        alpha=alpha,
-        beta=beta,
-        k=k,
-        i1_pass=i1,
-        i2_pass=i2,
-        i3_pass=bool(passes[0]),
-        hb_pass=bool(passes[1]),
-        i4_pass=bool(passes[2]),
-        i5_pass=bool(passes[3]),
-        contraction_pass=failing.size == 0,
-        witnesses=witnesses[:MAX_WITNESSES],
-        pairs_checked=n_pairs,
-        exhaustive=exhaustive,
-        alpha_pair=alpha_pair,
-        beta_pair=beta_pair,
-        declared_alpha=declared_alpha,
-        declared_beta=declared_beta,
-        declaration_mismatches=mismatches,
+        alpha=alpha, beta=beta, k=k,
+        conditions=dict(zip(CONDITIONS, [i1, i2, *passes.tolist(), failing.size == 0])),
+        witnesses=witnesses[:MAX_WITNESSES], pairs_checked=n_pairs, exhaustive=exhaustive,
+        alpha_pair=alpha_pair, beta_pair=beta_pair,
     )
 
 
@@ -920,11 +895,13 @@ def check_hypotheses(
 
 @dataclass(eq=False)
 class MetricAxiomReport:
-    """Outcome of the metric axiom sweep: positivity (a), symmetry (b), triangle (c)."""
+    """Outcome of the metric axiom sweep.
 
-    axiom_a_pass: bool
-    axiom_b_pass: bool
-    axiom_c_pass: bool
+    ``axioms`` maps ``"a"`` (positivity), ``"b"`` (symmetry) and ``"c"``
+    (triangle), in that order, to whether the axiom holds.
+    """
+
+    axioms: dict[str, bool]
     pairs_checked: int
     triples_checked: int
     route: str  # "sweep" (a table) or "construction" (a lifted metric)
@@ -932,7 +909,7 @@ class MetricAxiomReport:
 
     @property
     def passed(self) -> bool:
-        return self.axiom_a_pass and self.axiom_b_pass and self.axiom_c_pass
+        return all(self.axioms.values())
 
 
 MAX_MESSAGES = 25
@@ -979,7 +956,8 @@ def check_metric_axioms(
                 messages.append(f"axiom (a): d({order[x]}, {order[y]}) vanishes for distinct points")
                 a_ok = False
             pairs_checked = n * n
-        return MetricAxiomReport(a_ok, True, True, pairs_checked, 0, "construction", messages)
+        axioms = {"a": a_ok, "b": True, "c": True}
+        return MetricAxiomReport(axioms, pairs_checked, 0, "construction", messages)
 
     order = space.points.order
     n = len(order)
@@ -1015,6 +993,5 @@ def check_metric_axioms(
         c_ok = c_ok and fails.size == 0
         if not c_ok and len(messages) >= MAX_MESSAGES:
             break  # the verdict and the messages are settled
-    return MetricAxiomReport(
-        a_ok, not bool(asymmetric.any()), c_ok, n * n, n**3, "sweep", messages
-    )
+    axioms = {"a": a_ok, "b": not bool(asymmetric.any()), "c": c_ok}
+    return MetricAxiomReport(axioms, n * n, n**3, "sweep", messages)

@@ -86,10 +86,9 @@ def a_priori_iterations(k: float, beta: float, d01_norm: float, eps: float) -> i
     Returns 0 immediately when the starting step is zero (the start is
     already fixed).
     """
-    k = float(k)
-    beta = float(beta)
-    d01_norm = float(d01_norm)
-    eps = float(eps)
+    k, beta, d01_norm, eps = map(float, (k, beta, d01_norm, eps))
+    if not all(map(math.isfinite, (k, beta, eps))):
+        raise ContractViolationError(f"k, beta and eps must be finite, got {k}, {beta} and {eps}")
     if k < 1.0:
         raise ContractViolationError("normal constant must be >= 1")
     if beta < 0.0:

@@ -526,6 +526,52 @@ class TestExitCodes:
         code, out = run_cli(["solve", path])
         assert code == 3
 
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_declaration_mismatch_exits_3(self, tmp_path, name):
+        doc = json.loads((PROBLEMS / "finite_ladder.json").read_text())
+        _, out = run_cli(["check", str(PROBLEMS / "finite_ladder.json"), "--output", "machine"])
+        witnessed = float(dict(line.split("=", 1) for line in out.splitlines())[name])
+        doc["check"] = {name: witnessed + 0.01}
+        path = write_problem(tmp_path, doc, "wrong.json")
+        for command in ("check", "solve"):
+            code, out = run_cli([command, path, "--output", "machine"])
+            assert code == 3, command
+            assert "exit_status=hypothesis-failed" in out
+            # the declarations are audited after the conditions, which all hold
+            assert f"contraction_pass=true\ndeclaration_mismatch.0=declared {name} " in out
+            assert "disagrees with witnessed" in out and "declaration_mismatch.1" not in out
+        # within the slack of 1e-9 max(1, |value|)
+        doc["check"] = {name: witnessed * (1 + 1e-10)}
+        path = write_problem(tmp_path, doc, "close.json")
+        for command in ("check", "solve"):
+            code, out = run_cli([command, path, "--output", "machine"])
+            assert code == 0, command
+            assert "\ndeclaration_mismatch" not in out
+
+    def test_declared_solve_beta_below_witnessed_is_refused(self, tmp_path):
+        # beta = 1e-6 would plan 2 steps where the witnessed 0.709 needs more;
+        # the certificate it gave failed the audit at gap 10
+        doc = json.loads((PROBLEMS / "finite_ladder.json").read_text())
+        doc["solve"]["beta"] = 1e-6
+        path = write_problem(tmp_path, doc, "low.json")
+        for command in (["solve", "--audit-gap", "10"], ["check"]):
+            code, out = run_cli([command[0], path, *command[1:], "--output", "machine"])
+            assert code == 3, command
+            assert "\ndeclaration_mismatch.0=declared solve beta 9.9999999999999995e-07 is below witnessed 0.7089" in out
+            assert "certificate." not in out
+        # --force takes a declared beta unchecked
+        code, out = run_cli(["solve", path, "--force", "--output", "machine"])
+        assert code == 0
+        assert "certificate.beta=9.9999999999999995e-07" in out
+        # a larger beta is conservative: more steps, and a clean audit
+        doc["solve"]["beta"] = 0.9
+        path = write_problem(tmp_path, doc, "high.json")
+        code, out = run_cli(["solve", path, "--audit-gap", "10", "--output", "machine"])
+        assert code == 0
+        assert "certificate.beta=0.90000000000000002" in out
+        assert "audit.step_violations=0" in out and "audit.gap_violations=0" in out
+        assert "\ndeclaration_mismatch" not in out
+
     def test_solve_non_convergence(self, tmp_path):
         doc = {
             "space": {
@@ -566,6 +612,21 @@ class TestExitCodes:
             ["probe", "--k", "2", "--alpha-min", "0.2", "--alpha-max", "0.9"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--eps", "nan"), ("--eps", "inf"), ("--k", "inf"), ("--k", "nan"),
+         ("--alpha-min", "nan"), ("--alpha-max", "nan"), ("--k", "1e999")],
+    )
+    def test_probe_non_finite_number_is_usage_error(self, option, value, capsys):
+        options = {"--k": "2", "--alpha-min": "0.5", "--alpha-max": "0.9", "--instances": "1"}
+        options[option] = value
+        with pytest.raises(SystemExit) as exc:
+            main(["probe", *(token for item in options.items() for token in item)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{option[2:]} must be a finite number, got '{value}'" in err
+        assert "Traceback" not in err
 
     def test_probe_zero_instances(self):
         code, out = run_cli(

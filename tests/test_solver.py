@@ -71,6 +71,22 @@ class TestAPrioriIterations:
         with pytest.raises(NumericError, match="not finite"):
             a_priori_iterations(1.0, 0.5, d01, 1e-8)
 
+    @pytest.mark.parametrize(
+        "k,beta,eps",
+        [
+            (math.nan, 0.5, 1e-8),
+            (math.inf, 0.5, 1e-8),
+            (1.0, math.nan, 1e-8),
+            (1.0, -math.inf, 1e-8),
+            (1.0, 0.5, math.nan),
+            (1.0, 0.5, math.inf),
+        ],
+        ids=["k-nan", "k-inf", "beta-nan", "beta-minus-inf", "eps-nan", "eps-inf"],
+    )
+    def test_non_finite_parameter_rejected(self, k, beta, eps):
+        with pytest.raises(ContractViolationError, match="must be finite"):
+            a_priori_iterations(k, beta, 1.0, eps)
+
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(
         k=st.floats(1.0, 100.0),

@@ -48,7 +48,7 @@ from conefix import (
     verify_proof_bounds,
 )
 from conefix import cli, contraction, solver
-from conefix.contraction import MAX_WITNESSES
+from conefix.contraction import CONDITIONS, MAX_WITNESSES
 from conefix.solver import BOUND_AUDIT_RTOL, tail_bound
 
 TOL = 1e-9
@@ -136,19 +136,12 @@ def pair_key(pair):
 
 
 def report_fields(report):
-    assert all(type(f) is bool for f in (report.i1_pass, report.i2_pass, report.contraction_pass))
+    assert tuple(report.conditions) == CONDITIONS
+    assert all(type(f) is bool for f in report.conditions.values())
     return {
         "alpha": report.alpha,
         "beta": None if np.isnan(report.beta) else report.beta,
-        "flags": (
-            report.i1_pass,
-            report.i2_pass,
-            report.i3_pass,
-            report.hb_pass,
-            report.i4_pass,
-            report.i5_pass,
-            report.contraction_pass,
-        ),
+        "flags": tuple(report.conditions.values()),
         "alpha_pair": pair_key(report.alpha_pair),
         "beta_pair": pair_key(report.beta_pair),
         "witnesses": [
@@ -201,11 +194,10 @@ def reference_axioms(space, tol=TOL):
 
 def axiom_fields(report):
     # plain bools: the CLI prints true/false only for those
-    assert all(type(f) is bool for f in (report.axiom_a_pass, report.axiom_b_pass, report.axiom_c_pass))
+    assert tuple(report.axioms) == ("a", "b", "c")
+    assert all(type(f) is bool for f in report.axioms.values())
     return (
-        report.axiom_a_pass,
-        report.axiom_b_pass,
-        report.axiom_c_pass,
+        *report.axioms.values(),
         report.pairs_checked,
         report.triples_checked,
         report.messages,
@@ -308,7 +300,7 @@ def test_sweep_matches_per_pair_reference(metric, family, failing):
         report = check_hypotheses(space, mapping, coeffs, tol=TOL)
         assert report_fields(report) == expected, f"seed {seed}"
         assert report.exhaustive
-        contraction_failures += not report.contraction_pass
+        contraction_failures += not report.conditions["contraction"]
     if failing:
         assert contraction_failures >= 6
 
@@ -327,7 +319,7 @@ def test_finite_sampled_sweep_matches_per_pair_reference(metric, family, failing
             report = check_hypotheses(space, mapping, coeffs, pair_source=("sampled", n, seed + 100), tol=TOL)
             assert report_fields(report) == expected, f"seed {seed}, n {n}"
             assert not report.exhaustive
-            outcomes.add(report.contraction_pass)
+            outcomes.add(report.conditions["contraction"])
     assert outcomes == {True, False}
 
 
@@ -353,7 +345,7 @@ def test_sampled_sweep_matches_per_pair_reference(family):
         report = check_hypotheses(space, mapping, coeffs, pair_source=("sampled", 40, seed + 100))
         assert report_fields(report) == expected, f"seed {seed}"
         assert not report.exhaustive
-        outcomes.add(report.contraction_pass)
+        outcomes.add(report.conditions["contraction"])
     assert outcomes == {True, False}
 
 
@@ -422,7 +414,7 @@ def test_singular_quadruple_is_the_i5_witness(orthant2_inf):
     (i5,) = [w for w in report.witnesses if w.condition == "i5"]
     assert (i5.x, i5.y) == pair
     assert i5.detail.startswith("cannot certify the resolvent")
-    assert not report.i2_pass  # beta is not defined at that pair
+    assert not report.conditions["i2"]  # beta is not defined at that pair
 
 
 def test_large_space_counts():
@@ -737,6 +729,21 @@ class TestTableLimit:
         with pytest.raises(ContractViolationError, match=r"5x2x1 points, 5x3 residuals, limit 14"):
             check_hypotheses(inst.space, inst.mapping, inst.coeffs, pair_source=("sampled", 5, 0))
 
+    def test_oversized_coefficient_stack_is_refused(self, orthant2_inf, monkeypatch):
+        # 10 pairs of R^1: 10 x 2 x 1 coordinates and 10 x 2 residual entries
+        # fit a limit of 20, the 10 x 4 x 2 x 2 quadruples do not
+        space = make_lifted_space(1, orthant2_inf, [1.0, 1.0])
+        mapping = AffineMapping([[0.5]], [0.0])
+        calls = []
+        coeffs = CallableCoefficients(lambda x, y: calls.append((x, y)) or np.zeros((4, 2, 2)))
+        monkeypatch.setattr(contraction, "TABLE_MAX_ELEMENTS", 20)
+        with pytest.raises(ContractViolationError, match=r"^coefficients of 10 pairs are too large \(10x4x2x2 entries, limit 20\)$"):
+            check_hypotheses(space, mapping, coeffs, pair_source=("sampled", 10, 0))
+        assert not calls
+        monkeypatch.setattr(contraction, "TABLE_MAX_ELEMENTS", 160)
+        assert check_hypotheses(space, mapping, coeffs, pair_source=("sampled", 10, 0)).pairs_checked == 10
+        assert len(calls) == 10
+
     def test_oversized_sample_cli_exits_2(self, monkeypatch):
         # banach_scalar.json samples 200 pairs of R^1 into a 2-D cone: 400 entries each
         monkeypatch.setattr(contraction, "TABLE_MAX_ELEMENTS", 399)
@@ -995,7 +1002,7 @@ def test_reference_kernel_pair_count(monkeypatch):
         counted.clear()
         report = check_hypotheses(space, mapping, coeffs, tol=tol)
         assert report_fields(report) == reference_report(space, mapping, coeffs, tol=tol)
-        assert not report.contraction_pass
+        assert not report.conditions["contraction"]
         undecided = undecided_pairs(space, mapping, coeffs, tol)
         assert 0 < sum(counted) <= undecided + MAX_WITNESSES
         if tol != TOL:
