@@ -36,6 +36,19 @@ CASES = {
     "validate_banach_scalar.txt": ["validate", "problems/banach_scalar.json", "--output", "machine"],
     "validate_finite_ladder.txt": ["validate", "problems/finite_ladder.json", "--output", "machine"],
     "validate_finite_pairwise.txt": ["validate", "problems/finite_pairwise.json", "--output", "machine"],
+    # spaces of at least FAST_MIN_PAIRS pairs, so that their sweeps take the fast facet products
+    "validate_finite_ladder_n16.txt": ["validate", "problems/finite_ladder_n16.json", "--output", "machine"],
+    "check_finite_ladder_n16.txt": ["check", "problems/finite_ladder_n16.json", "--output", "machine"],
+    "solve_finite_ladder_n16.txt": [
+        "solve", "problems/finite_ladder_n16.json", "--audit-gap", "5", "--output", "machine",
+    ],
+    "validate_finite_discrete_n12.txt": [
+        "validate", "problems/finite_discrete_n12.json", "--output", "machine",
+    ],
+    "check_finite_discrete_n12.txt": ["check", "problems/finite_discrete_n12.json", "--output", "machine"],
+    "solve_finite_discrete_n12.txt": [
+        "solve", "problems/finite_discrete_n12.json", "--audit-gap", "5", "--output", "machine",
+    ],
 }
 
 

@@ -638,6 +638,14 @@ def test_non_finite_distances_raise_like_reference(orthant2_two):
     assert norms.tolist() == [np.inf, space.d_norm("b", "c"), 5.0]
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_lift_that_overflows_is_refused(orthant2_two):
+    # every rho is finite, but rho * w overflows at the pairs with c
+    positions = {"a": [0.0], "b": [1.0], "c": [1e300], "d": [2.0]}
+    with pytest.raises(ContractViolationError, match=r"^distance d\(a, c\) has non-finite entries$"):
+        ConeMetricSpace(orthant2_two, FinitePoints(tuple("dcba"), positions), LiftedMetric("euclidean", [1e10, 1.0]))
+
+
 def test_cached_tables_are_read_only(orthant3_inf):
     space = random_space(np.random.default_rng(4), orthant3_inf, "euclidean", 5)
     dist, norms = space.distance_tensor(), space.norm_table()
