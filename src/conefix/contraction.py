@@ -20,6 +20,7 @@ Either way one array kernel computes the residuals of all pairs at once.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -57,14 +58,16 @@ TABLE_MAX_ELEMENTS = 1 << 27
 class FinitePoints:
     """Finite point set given by labels, optionally with coordinates.
 
-    ``positions`` maps each label to a point of R^m; it is required by
-    lifted metrics with a euclidean base and ignored otherwise.  ``order``
-    holds the labels sorted (the canonical order of every sweep) and
-    ``index`` maps a label to its place in ``order``.
+    ``positions`` maps each label to a point of R^m (a number when m = 1);
+    it is required by lifted metrics with a euclidean base and ignored
+    otherwise.  The constructor keeps them as one ``(N, m)`` float array
+    whose row i is the point of ``order[i]``.  ``order`` holds the labels
+    sorted (the canonical order of every sweep) and ``index`` maps a label
+    to its place in ``order``.
     """
 
     labels: tuple[str, ...]
-    positions: dict[str, np.ndarray] | None = None
+    positions: dict | np.ndarray | None = None
     order: tuple[str, ...] = field(init=False, repr=False)
     index: dict[str, int] = field(init=False, repr=False)
 
@@ -77,20 +80,32 @@ class FinitePoints:
         self.order = tuple(sorted(self.labels))
         self.index = {label: i for i, label in enumerate(self.order)}
         if self.positions is not None:
-            self.positions = {
-                str(k): np.atleast_1d(np.asarray(v, dtype=float)) for k, v in self.positions.items()
-            }
-            missing = set(self.labels) - set(self.positions)
+            given = {str(k): v for k, v in self.positions.items()}
+            missing = set(self.labels) - given.keys()
             if missing:
                 raise ContractViolationError(f"positions missing for labels {sorted(missing)}")
-            unknown = set(self.positions) - set(self.labels)
+            unknown = given.keys() - set(self.labels)
             if unknown:
                 raise ContractViolationError(
                     f"positions given for unknown labels {sorted(unknown)}"
                 )
-            shapes = {v.shape for v in self.positions.values()}
-            if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            self.positions = _coordinates([given[label] for label in self.order])
+            if self.positions is None:
                 raise ContractViolationError("positions must be vectors of one common dimension")
+
+
+def _coordinates(points) -> np.ndarray | None:
+    """Points as one ``(N, m)`` float array, or None unless they are vectors of one length."""
+    try:
+        coords = np.asarray(points, dtype=float)
+    except ValueError:  # numbers among 1-vectors, or vectors of mixed lengths
+        try:
+            coords = np.array([np.atleast_1d(np.asarray(v, dtype=float)) for v in points])
+        except ValueError:
+            return None
+    if coords.ndim == 1:  # numbers
+        coords = coords[:, None]
+    return coords if coords.ndim == 2 else None
 
 
 @dataclass(frozen=True)
@@ -153,12 +168,14 @@ class ConeMetricSpace:
     """A point domain together with a cone-valued metric.
 
     A space must not change after construction.  A finite space builds its
-    distance tensor and the norms of its entries in the constructor, and
-    every distance, norm and sweep reads those read-only arrays.  The
-    constructor refuses a finite space whose tensor would exceed
-    :data:`TABLE_MAX_ELEMENTS` entries, a table that gives some pair of
-    distinct labels in neither order, and any non-finite distance: a cone
-    metric is defined, and finite, at every pair.
+    distances in the constructor as a factored table (see
+    :meth:`distance_factors`), the distance tensor and the norms of its
+    entries, and every distance, norm and sweep reads those read-only
+    arrays.  A lifted space computes its scalar table ``rho`` once per
+    unordered pair of points.  The constructor refuses a finite space whose
+    tensor would exceed :data:`TABLE_MAX_ELEMENTS` entries, a table that
+    gives some pair of distinct labels in neither order, and any non-finite
+    distance: a cone metric is defined, and finite, at every pair.
     """
 
     def __init__(self, cone: PolyhedralCone, points, metric):
@@ -197,11 +214,12 @@ class ConeMetricSpace:
                     f"finite space of {n} points is too large for its distance table "
                     f"({n}x{n}x{p} entries, limit {TABLE_MAX_ELEMENTS})"
                 )
-            dist = self._build_distances()
+            dist, table, weight = self._build_distances()
             if not np.isfinite(dist).all():
                 self._refuse(dist)
-            self._dist, self._norms = dist, cone.space.norms(dist)
-            dist.flags.writeable = self._norms.flags.writeable = False
+            self._factors, self._dist, self._norms = (table, weight), dist, cone.space.norms(dist)
+            for array in (table, weight, dist, self._norms):
+                array.flags.writeable = False
 
     @property
     def is_finite(self) -> bool:
@@ -286,8 +304,20 @@ class ConeMetricSpace:
         self.distance_tensor()
         return self._norms
 
-    def _build_distances(self) -> np.ndarray:
-        """The distance tensor over the sorted labels; NaN where a table has no entry."""
+    def distance_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distances of a finite space as a factored table ``(X, W)``, read-only.
+
+        ``X`` is ``(N, N, r)`` over the sorted labels and ``W`` is ``(p, r)``,
+        with ``D[i, j] = W @ X[i, j]`` for the tensor ``D`` of
+        :meth:`distance_tensor`.  A lifted metric ``rho * w`` has ``X =
+        rho[..., None]`` and ``W = w`` as one column, so ``D = X * w`` bit for
+        bit; a table metric has ``X = D`` and ``W`` the identity.
+        """
+        self.distance_tensor()
+        return self._factors
+
+    def _build_distances(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distance tensor and its two factors (:meth:`distance_factors`); NaN where a table has no entry."""
         order = self.points.order
         n, p = len(order), self.cone.space.dim
         metric = self.metric
@@ -295,12 +325,22 @@ class ConeMetricSpace:
             if metric.base == "discrete":
                 rho = 1.0 - np.eye(n)
             else:
-                pos = np.array([self.points.positions[label] for label in order])
+                pos = self.points.positions
                 rho = np.empty((n, n))
                 step = max(1, CHUNK_ELEMENTS // (n * pos.shape[1]))
                 for lo in range(0, n, step):
-                    rho[lo : lo + step] = self._rho(pos[lo : lo + step, None], pos[None])
-            return rho[:, :, None] * metric.weight
+                    # each unordered pair once: the rows of the block against
+                    # the columns from lo on, and their mirror image; u - v is
+                    # -(v - u) exactly, so the mirror has the same norms
+                    block = self._rho(pos[lo : lo + step, None], pos[None, lo:])
+                    rho[lo : lo + step, lo:] = block
+                    rho[lo:, lo : lo + step] = block.T
+            # one contiguous pass per coordinate: several times faster than
+            # broadcasting rho[:, :, None] * w, and equal to it bit for bit
+            dist = np.empty((n, n, p))
+            for c, w_c in enumerate(metric.weight):
+                np.multiply(rho, w_c, out=dist[:, :, c])
+            return dist, rho[:, :, None], metric.weight[:, None]
         dist = np.full((n, n, p), np.nan)
         dist[np.arange(n), np.arange(n)] = 0.0
         if metric.entries:
@@ -311,7 +351,7 @@ class ConeMetricSpace:
             # reversed pairs first, so a pair's own entry wins over the fallback
             dist[cols, rows] = values
             dist[rows, cols] = values
-        return dist
+        return dist, dist, np.eye(p)
 
     def _refuse(self, dist):
         """Raise for the first pair, in canonical order, that a table lacks or that is non-finite."""
@@ -440,6 +480,17 @@ class PerPairCoefficients:
             raise ContractViolationError(f"no coefficients declared for pair {(x, y)}")
         return self.stack[self.rows[(x, y)]]
 
+    def take(self, pairs: list) -> np.ndarray:
+        """The quadruples of a list of pairs as one ``(n, 4, p, p)`` array, gathered by one index array.
+
+        Equal to stacking :meth:`at` of each pair; the first pair without
+        coefficients raises what :meth:`at` raises.
+        """
+        rows = np.fromiter(map(self.rows.get, pairs, itertools.repeat(-1)), np.intp, len(pairs))
+        if (rows < 0).any():
+            self.at(*pairs[int(np.argmax(rows < 0))])
+        return self.stack[rows]
+
 
 @dataclass(eq=False)
 class CallableCoefficients:
@@ -537,56 +588,71 @@ FAST_MIN_PAIRS = 100
 BAND_SCALE_LIMIT = 2.0**1000
 
 
-def _facet_products(dist, t, quad, facets):
+def _facet_products(table, weight, t, quad, facets):
     """Facet products of every residual under one quadruple ``quad``, and their rounding band.
 
-    Returns ``(products, band)``: ``products[f, i * N + j]`` is the product
-    of facet f with the residual at ``(order[i], order[j])``, and it lies
-    within ``band[f]`` of the product that the reference kernel and
-    :func:`_act` compute (see :func:`check_hypotheses` for the derivation);
-    or ``None`` when the band's scale reaches :data:`BAND_SCALE_LIMIT`.
+    ``(table, weight)`` is the factored distance table ``(X, W)`` of
+    :meth:`ConeMetricSpace.distance_factors`.  Returns ``(products,
+    band)``: ``products[f, i * N + j]`` is the product of facet f with the
+    residual at ``(order[i], order[j])``, and it lies within ``band[f]`` of
+    the product that the reference kernel and :func:`_act` compute (see
+    :func:`check_hypotheses` for the derivation); or ``None`` when the
+    band's scale reaches :data:`BAND_SCALE_LIMIT`.
 
-    Each term takes one BLAS product over all pairs: ``F A_k`` against its
-    distance, and ``F`` against ``d(Tx, Ty)``; ``d(x, Ty) + d(y, Tx)`` is
-    summed before its product.
+    Each term takes one BLAS product over all pairs: ``F A_k W`` against
+    its slice of ``X``, and ``F W`` against ``X(Tx, Ty)``; ``X(x, Ty) +
+    X(y, Tx)`` is summed before its product.  A lifted space thus moves one
+    number per pair and term, a table space p.  For a table space ``W`` is
+    the identity, and ``(F A_k) W`` equals ``F A_k`` exactly.
 
-    Products that underflow add at most ``2^-1075`` each;
-    ``2^-1019 p (p M + rowsum |F|_f + 1)`` covers them all.  The band is
-    evaluated with a relative margin of :data:`BAND_MARGIN`.
+    *Underflow.*  Products that underflow add at most ``2^-1075`` each, and
+    so does the rounding of a stored distance ``fl(rho w)``; with ``M = max
+    |D|``, ``R = max |X|`` and ``c = rowsum |A1| + rowsum |A2| + rowsum |A3|
+    + 2 rowsum |A4| + 1``, ``2^-1019 p (p (M + R) + (|F| c)_f + 1)`` covers
+    them all.  The band is evaluated with a relative margin of
+    :data:`BAND_MARGIN`.
 
-    *Overflow.*  Every entry of ``F A_k``, of ``v`` and of ``|F| v`` is at
-    most ``max(p max |F|, 1) (5 p max |A| + 1) max(M, 1)``, and every partial
-    sum of either path at most ``(1 + γ)`` times an entry of ``v``
-    (residuals) or of ``|F| v`` (products).  While that scale stays below
+    *Overflow.*  Every entry of ``F A_k``, of ``F A_k W``, of ``X``, of ``v``
+    and of ``|F| v`` is at most ``max(p max |F|, 1) (5 p max |A| + 1)
+    max(M, R, p max |W|, 1)``, and every partial sum of either path at most
+    ``(1 + γ)`` times an entry of ``v`` (residuals), of ``F A_k W`` or of
+    ``|F| v`` (products).  While that scale stays below
     :data:`BAND_SCALE_LIMIT`, nothing overflows, the band included.
     """
-    n, p = dist.shape[0], dist.shape[2]
+    n, p = table.shape[0], weight.shape[0]
     abs_a, abs_f = np.abs(quad), np.abs(facets)
-    big = max(float(dist.max()), -float(dist.min()))
-    # in Python floats, so that an overflow reads inf without a warning
-    scale = max(p * float(abs_f.max()), 1.0) * (5 * p * float(abs_a.max()) + 1.0) * max(big, 1.0)
+    # in Python floats, so that an overflow reads inf without a warning;
+    # M is max |D| exactly, because W is one column or the identity and a
+    # lifted X is nonnegative
+    r_big = max(float(table.max()), -float(table.min()))
+    w_big = float(np.abs(weight).max())
+    big = r_big * w_big
+    scale = max(p * float(abs_f.max()), 1.0) * (5 * p * float(abs_a.max()) + 1.0)
+    scale *= max(big, r_big, p * w_big, 1.0)
     if not scale < BAND_SCALE_LIMIT:
         return None
     rows = abs_a.sum(axis=-1)
-    v = big * (rows.sum(axis=0) + rows[3] + 1.0)  # A4 serves two terms
-    gamma = (2 * p + 6) * 2.0**-53 / (1.0 - (2 * p + 6) * 2.0**-53)
-    tiny = 2.0**-1019 * p * (p * big + abs_f.sum(axis=-1) + 1.0)
-    band = (2.0 * gamma * (abs_f @ v) + tiny) * (1.0 + BAND_MARGIN)
+    c = rows.sum(axis=0) + rows[3] + 1.0  # A4 serves two terms
+    gamma = (2 * p + 8) * 2.0**-53 / (1.0 - (2 * p + 8) * 2.0**-53)
+    tiny = 2.0**-1019 * p * (p * (big + r_big) + abs_f @ c + 1.0)
+    band = (2.0 * gamma * (abs_f @ (big * c)) + tiny) * (1.0 + BAND_MARGIN)
 
     # np.take gathers several times faster than fancy indexing here
-    flat = dist.reshape(n * n, p)
-    d_x_tx = flat.take(np.arange(n) * n + t, axis=0)  # d(x, Tx)
-    d_tx_ty = flat.take((t[:, None] * n + t).ravel(), axis=0)  # d(Tx, Ty)
-    cross = dist.take(t, axis=1)  # [i, j]: d(x_i, T x_j)
-    cross = (cross + cross.transpose(1, 0, 2)).reshape(n * n, p)  # ... + d(x_j, T x_i)
+    flat = table.reshape(n * n, -1)
+    x_tx = flat.take(np.arange(n) * n + t, axis=0)  # X(x, Tx)
+    tx_ty = flat.take((t[:, None] * n + t).ravel(), axis=0)  # X(Tx, Ty)
+    cross = table.take(t, axis=1)  # [i, j]: X(x_i, T x_j)
+    cross = (cross + cross.transpose(1, 0, 2)).reshape(n * n, -1)  # ... + X(x_j, T x_i)
     # facets along the first axis: the broadcasts and the per-pair
-    # reductions then run along long contiguous rows
-    f1, f2, f3, f4 = facets @ quad
-    products = (f1 @ flat.T).reshape(-1, n, n)
-    products += (f2 @ d_x_tx.T)[:, :, None]
-    products += (f3 @ d_x_tx.T)[:, None, :]
-    products += (f4 @ cross.T).reshape(-1, n, n)
-    products -= (facets @ d_tx_ty.T).reshape(-1, n, n)
+    # reductions then run along long contiguous rows.  np.dot, because
+    # matmul skips BLAS for a table of width 1 and takes several times as
+    # long; both give the same bits
+    g1, g2, g3, g4 = facets @ quad @ weight
+    products = np.dot(g1, flat.T).reshape(-1, n, n)
+    products += np.dot(g2, x_tx.T)[:, :, None]
+    products += np.dot(g3, x_tx.T)[:, None, :]
+    products += np.dot(g4, cross.T).reshape(-1, n, n)
+    products -= np.dot(facets @ weight, tx_ty.T).reshape(-1, n, n)
     return products.reshape(-1, n * n), band
 
 
@@ -615,11 +681,11 @@ def _exhaustive_failures(space: ConeMetricSpace, t, stack, tol, decide) -> np.nd
     reference (:func:`_reference_failures`), decides the rest, and every
     pair of a per-pair family or when the fast products cannot be used.
     """
-    dist, facets = space.distance_tensor(), space.cone.facets
-    n_pairs = dist.shape[0] ** 2
+    table, weight = space.distance_factors()
+    n_pairs = table.shape[0] ** 2
     fast = None
     if len(stack) == 1 and n_pairs >= FAST_MIN_PAIRS:
-        fast = _facet_products(dist, t, stack[0], facets)
+        fast = _facet_products(table, weight, t, stack[0], space.cone.facets)
     if fast is None or not np.isfinite(fast[0]).all():
         return decide(np.arange(n_pairs))
     products, band = fast
@@ -753,18 +819,19 @@ def check_hypotheses(
 
     ``k`` defaults to the cone's declared normal constant.  Coefficients are
     fetched once per pair in sweep order (once in all for a constant
-    family) into one quadruple stack, and the operator-level conditions are
-    evaluated over the whole stack at once.  Every residual, of an
-    exhaustive or a sampled sweep, comes from one array kernel over stacked
-    pairs (:func:`_residuals`), which equals :func:`contraction_residual`
-    bit for bit; a sample is drawn at once, and on R^m the images of its
-    points are stacked products.  Ties in the witnessed maxima
-    are broken by the first pair in sweep order, and witnesses are listed in
-    sweep order, so the report is independent of how the residuals were
-    evaluated.
+    family, and by one index array into its stack for a per-pair family on
+    an exhaustive sweep) into one quadruple stack, and the operator-level
+    conditions are evaluated over the whole stack at once.  Every residual,
+    of an exhaustive or a sampled sweep, comes from one array kernel over
+    stacked pairs (:func:`_residuals`), which equals
+    :func:`contraction_residual` bit for bit; a sample is drawn at once, and
+    on R^m the images of its points are stacked products.  Ties in the
+    witnessed maxima are broken by the first pair in sweep order, and
+    witnesses are listed in sweep order, so the report is independent of
+    how the residuals were evaluated.
 
     Under a constant family, the exhaustive sweep decides membership from
-    facet products computed straight from the distance tensor
+    facet products computed straight from the factored distance table
     (:func:`_facet_products`), inside a proven rounding band around the
     products of the reference (:func:`_residuals`, then :func:`_act`).  The
     reference runs only on the pairs inside the band, on the witnesses, and
@@ -773,22 +840,35 @@ def check_hypotheses(
     reaches :data:`BAND_SCALE_LIMIT`; so every field of the report is what
     a pair-by-pair sweep gives, bit for bit.
 
-    *Band.*  At a pair, write ``w = |A1||d1| + |A2||d2| + |A3||d3| +
-    |A4|(|d4| + |d5|) + |d6|`` for the distances ``d(x, y)``, ``d(x, Tx)``,
-    ``d(y, Ty)``, ``d(x, Ty)``, ``d(y, Tx)`` and ``d(Tx, Ty)``, and ``γ_n =
-    n u / (1 - n u)`` with ``u = 2^-53``.  The reference rounds ``A_k d_k``
-    (a dot product of length p, error at most ``γ_p |A_k||d_k|``), five
-    additions, and ``F r`` (``γ_p`` again), so its product is within
-    ``γ_{2p+5} (|F| w)_f`` of the exact ``(F r)_f`` (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, §3.1).  The fast products round
-    ``F A_k`` and its product with ``d_k``, the sum ``d4 + d5`` and five
-    additions: within ``γ_{2p+6} (|F| w)_f``.  Both bounds hold for any
-    summation order and with fused multiply-adds.  With ``M = max |D|``,
-    ``w <= v = M (rowsum |A1| + rowsum |A2| + rowsum |A3| + 2 rowsum |A4| +
-    1)``, so the two
-    products differ by at most ``band_f = 2 γ_{2p+6} (|F| v)_f``.  A fast
-    product at or above ``nextafter(-tol + band, +inf)`` therefore has its
-    reference product at or above ``-tol``, and one below
+    *Band.*  At a pair, write ``d1 .. d6`` for the stored distances ``d(x,
+    y)``, ``d(x, Tx)``, ``d(y, Ty)``, ``d(x, Ty)``, ``d(y, Tx)`` and ``d(Tx,
+    Ty)``, ``w = |A1||d1| + |A2||d2| + |A3||d3| + |A4|(|d4| + |d5|) +
+    |d6|``, and ``γ_n = n u / (1 - n u)`` with ``u = 2^-53``.  The reference
+    rounds ``A_k d_k`` (a dot product of length p, error at most ``γ_p
+    |A_k||d_k|``), five additions, and ``F r`` (``γ_p`` again), so its
+    product is within ``γ_{2p+5} (|F| w)_f`` of the exact ``(F r)_f``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1).
+
+    The fast products work on the factors: ``d_k = W x_k`` for a table
+    space, ``d_k = fl(W x_k)`` for a lifted one (:meth:`ConeMetricSpace.
+    distance_factors`).  They round ``F A_k``, its product with ``W``, its
+    product with ``x_k``, the sum ``x4 + x5`` and five additions.  A table
+    space has ``W = I``, whose product is exact, and ``x_k`` of length p: the
+    fast product is within ``γ_{2p+6} (|F| w)_f`` of the exact one.  A
+    lifted space has ``W = w`` and ``x_k = rho_k``, of length 1: its fast
+    product is within ``γ_{2p+7} (|F| w')_f`` of the exact product of the
+    lifts ``rho_k w``, where ``w'`` is ``w`` with ``|rho_k w|`` for
+    ``|d_k|``.  The stored ``d_k`` rounds the lift once, so ``|rho_k w -
+    d_k| <= γ_1 |d_k|`` and ``w' <= (1 + γ_1) w``; the exact products of the
+    lifts and of the stored distances differ by at most ``γ_1 (|F| w)_f``,
+    and ``γ_{2p+7} (1 + γ_1) + γ_1 <= γ_{2p+8}`` (Higham, Lemma 3.3).  Either
+    way the fast product is within ``γ_{2p+8} (|F| w)_f`` of the exact
+    ``(F r)_f``.  All these bounds hold for any summation order and with
+    fused multiply-adds.  With ``M = max |D|``, ``w <= v = M (rowsum |A1| +
+    rowsum |A2| + rowsum |A3| + 2 rowsum |A4| + 1)``, so the fast and the
+    reference products differ by at most ``band_f = 2 γ_{2p+8} (|F| v)_f``.
+    A fast product at or above ``nextafter(-tol + band, +inf)`` therefore
+    has its reference product at or above ``-tol``, and one below
     ``nextafter(-tol - band, -inf)`` has it below: a pair whose products all
     clear the first is a member, a pair with one below the second is not,
     and the meaning of ``tol`` is unchanged.
@@ -804,19 +884,22 @@ def check_hypotheses(
     if count > 1 and count * 4 * p * p > TABLE_MAX_ELEMENTS:
         raise ContractViolationError(f"coefficients of {count} pairs are too large "
                                      f"({count}x4x{p}x{p} entries, limit {TABLE_MAX_ELEMENTS})")
-    quads = [coeffs.at(*pair_at(q)) for q in range(count)]
-    try:
-        stack = np.array(quads, dtype=float)
-    except ValueError:
-        shape = np.shape(quads[0])
-        for q, quad in enumerate(quads):
-            if np.shape(quad) != shape:
-                x, y = pair_at(q)
-                raise ContractViolationError(
-                    f"coefficients at ({x}, {y}) have shape {np.shape(quad)}, "
-                    f"unlike {shape} at the first pair"
-                ) from None
-        raise
+    if exhaustive and isinstance(coeffs, PerPairCoefficients):
+        stack = coeffs.take(list(itertools.product(space.points.order, repeat=2)))
+    else:
+        quads = [coeffs.at(*pair_at(q)) for q in range(count)]
+        try:
+            stack = np.array(quads, dtype=float)
+        except ValueError:
+            shape = np.shape(quads[0])
+            for q, quad in enumerate(quads):
+                if np.shape(quad) != shape:
+                    x, y = pair_at(q)
+                    raise ContractViolationError(
+                        f"coefficients at ({x}, {y}) have shape {np.shape(quad)}, "
+                        f"unlike {shape} at the first pair"
+                    ) from None
+            raise
     if stack.shape != (count, 4, p, p):
         raise ContractViolationError("operator and cone live in different dimensions")
     if not np.isfinite(stack).all():  # a callback's matrices are checked nowhere else

@@ -112,7 +112,7 @@ class FiniteInstance:
             "labels": list(points.labels),
         }
         if points.positions is not None:
-            metric["positions"] = {k: v.tolist() for k, v in points.positions.items()}
+            metric["positions"] = dict(zip(points.order, points.positions.tolist()))
         labels = sorted(points.labels)
         return {
             "space": {

@@ -267,10 +267,10 @@ def random_coeffs(rng, space, family, labels):
     return CallableCoefficients(lambda x, y: table[(x, y)])
 
 
-def random_instance(seed, metric, family, failing):
+def random_instance(seed, metric, family, failing, n=None):
     rng = np.random.default_rng(seed)
     cone = CONES[list(CONES)[seed % len(CONES)]]()
-    n = int(rng.integers(1, 9))
+    n = int(rng.integers(1, 9)) if n is None else n
     space = random_space(rng, cone, metric, n)
     labels = space.labels
     if failing:
@@ -393,6 +393,21 @@ def test_callable_coefficients_called_once_per_pair(orthant2_inf):
     check_hypotheses(space, mapping, coeffs)
     labels = sorted(space.labels)
     assert calls == [(x, y) for x in labels for y in labels]
+
+
+def test_per_pair_stack_gathered_like_at(orthant2_inf):
+    rng = np.random.default_rng(6)
+    space = random_space(rng, orthant2_inf, "euclidean", 6)
+    labels = sorted(space.labels)
+    pairs = [(x, y) for x in labels for y in labels]
+    coeffs = random_coeffs(rng, orthant2_inf.space, "per_pair", space.labels)
+    assert coeffs.take(pairs).tobytes() == np.array([coeffs.at(x, y) for x, y in pairs]).tobytes()
+    assert coeffs.take(pairs[::-3]).tobytes() == np.array([coeffs.at(x, y) for x, y in pairs[::-3]]).tobytes()
+    # the first undeclared pair in sweep order is named, as coeffs.at names it
+    mapping = TableMapping({x: labels[0] for x in labels})
+    table = {pair: quad for pair, quad in coeffs.table.items() if pair not in (pairs[29], pairs[9])}
+    with pytest.raises(ContractViolationError, match=r"^no coefficients declared for pair \('%s', '%s'\)$" % pairs[9]):
+        check_hypotheses(space, mapping, PerPairCoefficients(table))
 
 
 def test_singular_quadruple_is_the_i5_witness(orthant2_inf):
@@ -545,7 +560,8 @@ def reference_d(space, x, y):
             rho = 0.0 if same else 1.0
         else:
             if space.is_finite:
-                x, y = space.points.positions[x], space.points.positions[y]
+                index, positions = space.points.index, space.points.positions
+                x, y = positions[index[x]], positions[index[y]]
             rho = float(np.linalg.norm(x - y))
         return rho * metric.weight
     for key in ((x, y), (y, x)):
@@ -644,6 +660,43 @@ def test_lift_that_overflows_is_refused(orthant2_two):
     positions = {"a": [0.0], "b": [1.0], "c": [1e300], "d": [2.0]}
     with pytest.raises(ContractViolationError, match=r"^distance d\(a, c\) has non-finite entries$"):
         ConeMetricSpace(orthant2_two, FinitePoints(tuple("dcba"), positions), LiftedMetric("euclidean", [1e10, 1.0]))
+
+
+def test_positions_are_one_array_in_sorted_order():
+    points = FinitePoints(("c", "a", "b"), {"b": [1.0, 2.0], "c": np.array([3.0, 4.0]), "a": (5.0, 6.0)})
+    assert points.positions.tolist() == [[5.0, 6.0], [1.0, 2.0], [3.0, 4.0]]
+    # numbers are points of R^1, alone or among 1-vectors
+    for given in ({"a": 1.0, "b": 2.0}, {"a": [1.0], "b": 2.0}):
+        assert FinitePoints(("b", "a"), given).positions.tolist() == [[1.0], [2.0]]
+    for given, message in [
+        ({"a": [1.0]}, r"^positions missing for labels \['b'\]$"),
+        ({"a": [1.0], "b": [2.0], "zz": [3.0]}, r"^positions given for unknown labels \['zz'\]$"),
+        ({"a": [1.0], "b": [2.0, 3.0]}, "^positions must be vectors of one common dimension$"),
+        ({"a": 1.0, "b": [2.0, 3.0]}, "^positions must be vectors of one common dimension$"),
+        ({"a": [[1.0]], "b": [[2.0]]}, "^positions must be vectors of one common dimension$"),
+    ]:
+        with pytest.raises(ContractViolationError, match=message):
+            FinitePoints(("a", "b"), given)
+
+
+@pytest.mark.parametrize("chunk", [1, 200, 800, contraction.CHUNK_ELEMENTS])
+def test_rho_table_matches_per_pair_norms(chunk, orthant3_inf, monkeypatch):
+    # small chunks split the table into blocks of 1, 2 or 8 rows, so that
+    # most entries come from the mirror image of an earlier block
+    monkeypatch.setattr(contraction, "CHUNK_ELEMENTS", chunk)
+    rng = np.random.default_rng(5)
+    labels = tuple(f"q{i:02d}" for i in rng.permutation(25))
+    coords = rng.uniform(-3.0, 3.0, (25, 4)) * 10.0 ** rng.integers(-3, 4, (25, 1))
+    coords[7] = coords[3]  # a repeated point
+    positions = dict(zip(labels, coords))
+    w = [1.0, 0.3, 2.5]
+    space = ConeMetricSpace(orthant3_inf, FinitePoints(labels, positions), LiftedMetric("euclidean", w))
+    order = space.points.order
+    expected = np.array([[np.linalg.norm(positions[x] - positions[y]) for y in order] for x in order])
+    table, weight = space.distance_factors()
+    assert table.shape == (25, 25, 1) and weight.tolist() == [[v] for v in w]
+    assert table[..., 0].tobytes() == expected.tobytes()
+    assert space.distance_tensor().tobytes() == (expected[:, :, None] * np.array(w)).tobytes()
 
 
 def test_cached_tables_are_read_only(orthant3_inf):
@@ -916,16 +969,19 @@ def test_fast_products_match_per_pair_reference(metric, family, failing, monkeyp
 
 
 @st.composite
-def banded_instances(draw, families=("constant", "per_pair")):
+def banded_instances(draw, families=("constant", "per_pair"), metrics=("euclidean", "discrete", "table"),
+                     sizes=None):
     """A random finite instance at a drawn distance scale, and a tolerance
     a few ulps from one of its facet products, so that pairs land inside the
-    band of the fast products."""
+    band of the fast products.  ``sizes`` bounds the number of points, one to
+    eight by default."""
     seed = draw(st.integers(0, 2**20))
-    metric = draw(st.sampled_from(["euclidean", "discrete", "table"]))
+    metric = draw(st.sampled_from(metrics))
     family = draw(st.sampled_from(families))
     failing = draw(st.booleans())
     scale = 10.0 ** draw(st.integers(-12, 12))
-    space, mapping, coeffs = random_instance(seed, metric, family, failing)
+    n = None if sizes is None else draw(st.integers(*sizes))
+    space, mapping, coeffs = random_instance(seed, metric, family, failing, n)
     space = rescaled(space, scale)
     products = reference_products(space, mapping, coeffs)
     # tolerances are nonnegative: aim at a negative worst product of a
@@ -950,16 +1006,43 @@ def test_filtered_sweep_matches_reference_inside_the_band(instance):
     assert report_fields(report) == reference_report(space, mapping, coeffs, tol=tol)
 
 
+def assert_band_holds(space, mapping, coeffs, products):
+    t = space.image_indices(mapping)
+    quad = coeffs.at(None, None)
+    fast, band = contraction._facet_products(*space.distance_factors(), t, quad, space.cone.facets)
+    assert fast.shape == products.T.shape
+    assert (np.abs(fast - products.T) <= band[:, None]).all()
+
+
 @settings(max_examples=80, deadline=None)
 @given(banded_instances(families=("constant",)))
 def test_band_bounds_fast_products(instance):
     # the fast products serve constant families only
     space, mapping, coeffs, _, products = instance
-    t = space.image_indices(mapping)
-    quad = coeffs.at(None, None)
-    fast, band = contraction._facet_products(space.distance_tensor(), t, quad, space.cone.facets)
-    assert fast.shape == products.T.shape
-    assert (np.abs(fast - products.T) <= band[:, None]).all()
+    assert_band_holds(space, mapping, coeffs, products)
+
+
+#: Point counts whose spaces have at least FAST_MIN_PAIRS pairs.
+FAST_SIZES = (10, 14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(banded_instances(families=("constant",), metrics=("euclidean", "discrete"), sizes=FAST_SIZES))
+def test_lifted_fast_sweep_matches_reference(instance):
+    # lifted spaces large enough for the fast products, unpatched: they
+    # sweep on the scalar table rho
+    space, mapping, coeffs, tol, _ = instance
+    assert len(space.labels) ** 2 >= contraction.FAST_MIN_PAIRS
+    assert space.distance_factors()[0].shape[-1] == 1
+    report = check_hypotheses(space, mapping, coeffs, tol=tol)
+    assert report_fields(report) == reference_report(space, mapping, coeffs, tol=tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(banded_instances(families=("constant",), sizes=FAST_SIZES))
+def test_band_bounds_fast_products_of_large_spaces(instance):
+    # lifted and table spaces
+    assert_band_holds(*instance[:3], instance[4])
 
 
 def counting_reference_kernel(monkeypatch):
@@ -979,7 +1062,7 @@ def undecided_pairs(space, mapping, coeffs, tol):
     """Pairs whose fast products lie inside the band around ``-tol``."""
     t = space.image_indices(mapping)
     fast, band = contraction._facet_products(
-        space.distance_tensor(), t, coeffs.at(None, None), space.cone.facets
+        *space.distance_factors(), t, coeffs.at(None, None), space.cone.facets
     )
     passes = (fast.T >= np.nextafter(-tol + band, np.inf)).all(axis=-1)
     fails = (fast.T < np.nextafter(-tol - band, -np.inf)).any(axis=-1)
@@ -1052,7 +1135,7 @@ def test_overflow_guard(orthant2_inf):
     )
     coeffs = constant([a * np.eye(2) for a in (0.3, 0.1, 0.1, 0.05)], orthant2_inf.space)
     assert contraction._facet_products(
-        space.distance_tensor(), space.image_indices(mapping), coeffs.at(None, None), orthant2_inf.facets
+        *space.distance_factors(), space.image_indices(mapping), coeffs.at(None, None), orthant2_inf.facets
     ) is None
     report = check_hypotheses(space, mapping, coeffs)
     assert report.passed
