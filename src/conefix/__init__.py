@@ -6,10 +6,9 @@ from .cones import (
     PolyhedralCone,
     ValidationReport,
     check_declared_normal_constant,
-    cone_contains,
+    cone_members,
     normal_constant_lower_bound,
     orthant,
-    strictly_interior,
     validate_cone,
 )
 from .contraction import (
@@ -28,7 +27,6 @@ from .contraction import (
     Witness,
     check_hypotheses,
     check_metric_axioms,
-    contraction_residual,
     reduce_scalar,
 )
 from .errors import (
@@ -39,7 +37,6 @@ from .errors import (
     NonConvergenceError,
     NumericError,
     ProblemFileError,
-    UnsupportedError,
 )
 from .linops import LinearOperator, induced_norm, invariance_check, resolvent_stack
 from .solver import (

@@ -23,8 +23,6 @@ from .solver import picard_solve, probe_open_problem, verify_proof_bounds
 
 EXIT_CODES = {"ok": 0, "input-error": 2, "hypothesis-failed": 3, "non-convergence": 4}
 
-AUDIT_SAMPLES = 512
-
 
 def _fmt(value, sig: int) -> str:
     if isinstance(value, bool):
@@ -84,7 +82,7 @@ def _premises(problem, args):
     cone_report = validate_cone(cone, tol=tol)
     failures = [("space.cone", msg) for msg in cone_report.messages]
     try:
-        bound = check_declared_normal_constant(cone, n_samples=AUDIT_SAMPLES, seed=args.seed)
+        bound = check_declared_normal_constant(cone, seed=args.seed)
     except ContractViolationError as exc:
         bound = None
         failures.append((None, str(exc)))
@@ -219,7 +217,6 @@ def cmd_solve(args):
             beta,
             problem.solve.x0,
             problem.solve.eps,
-            max_iter=problem.solve.max_iter,
             beta_source=beta_source,
         )
     except NonConvergenceError as exc:
@@ -231,10 +228,7 @@ def cmd_solve(args):
             ("residual_norm", exc.residual_norm),
             ("detail", str(exc)),
         ]
-        if exc.trace is not None:
-            tail = exc.trace.step_norms[-5:]
-            for i, s in enumerate(tail):
-                entries.append((f"trace_tail.{i}", s))
+        entries += [(f"trace_tail.{i}", s) for i, s in enumerate(exc.trace.step_norms[-5:])]
         return entries, "non-convergence"
 
     cert = result.certificate

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, UnsupportedError
+from .errors import ContractViolationError
 
 NORM_KINDS = ("one", "two", "infinity", "weighted")
 
@@ -158,39 +158,25 @@ def orthant(space: NormedSpace, normal_constant: float = 1.0) -> PolyhedralCone:
     return PolyhedralCone(space, eye.copy(), eye.copy(), normal_constant=normal_constant)
 
 
-def cone_contains(cone: PolyhedralCone, v, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-    """Membership test: every facet inner product is >= -tol."""
-    return bool(cone_members(cone, cone.space.as_vector(v), tol))
-
-
 def cone_members(
     cone: PolyhedralCone, vectors, tol: float = DEFAULT_MEMBERSHIP_TOL
 ) -> np.ndarray:
-    """:func:`cone_contains` for each vector along the last axis of a stack."""
+    """Membership of each vector along the last axis of a stack: every facet product is >= -tol.
+
+    One vector gives a 0-d boolean array.  The last axis must have the
+    cone's dimension and every entry must be finite.
+    """
     if tol < 0:
         raise ContractViolationError("membership tolerance must be nonnegative")
     arr = np.asarray(vectors, dtype=float)
+    if arr.ndim == 0 or arr.shape[-1] != cone.space.dim:
+        raise ContractViolationError(
+            f"vectors of shape {arr.shape} do not live in R^{cone.space.dim}"
+        )
     if not np.all(np.isfinite(arr)):
         raise ContractViolationError("vector has non-finite entries")
     # one facets-by-column product per vector rounds like ``facets @ v``
     return np.all((cone.facets @ arr[..., None])[..., 0] >= -tol, axis=-1)
-
-
-def strictly_interior(cone: PolyhedralCone, v, margin: float) -> bool:
-    """Decidable stand-in for interior membership.
-
-    True iff ``<f_i, v> >= margin * norm(v)`` for every facet normal.  The
-    origin is never interior.  Requires a solid cone.
-    """
-    if not cone.solid:
-        raise UnsupportedError("interior test needs a solid cone (nonempty interior)")
-    if margin <= 0:
-        raise ContractViolationError("interior margin must be positive")
-    arr = cone.space.as_vector(v)
-    nv = cone.space.norm(arr)
-    if nv == 0.0:
-        return False
-    return bool(np.all(cone.facets @ arr >= margin * nv))
 
 
 @dataclass(eq=False)

@@ -30,7 +30,6 @@ from .cones import (
     DEFAULT_MEMBERSHIP_TOL,
     NormedSpace,
     PolyhedralCone,
-    cone_contains,
     cone_members,
     euclidean_norms,
 )
@@ -186,7 +185,7 @@ class ConeMetricSpace:
         if isinstance(metric, LiftedMetric):
             if metric.weight.shape != (p,):
                 raise ContractViolationError("metric weight must live in the ambient space")
-            if not cone_contains(cone, metric.weight):
+            if not cone_members(cone, metric.weight):
                 raise ContractViolationError("metric weight must be a cone element")
             if cone.space.norm(metric.weight) == 0.0:
                 raise ContractViolationError("metric weight must be nonzero")
@@ -274,9 +273,8 @@ class ConeMetricSpace:
         """``d_norm(points[a[k]], points[b[k]])`` for every k, as one array.
 
         Equal to the per-pair calls bit for bit.  Every point of ``points``
-        is checked first, in order; on a euclidean domain a pair without a
-        finite norm then goes through :meth:`d_norm`, so the first such pair
-        raises what it raises.
+        is checked first, in order; on a euclidean domain a non-finite
+        distance then raises what :meth:`d_norm` raises for it.
         """
         a = np.asarray(a, dtype=np.intp)
         b = np.asarray(b, dtype=np.intp)
@@ -284,10 +282,10 @@ class ConeMetricSpace:
             place = np.array([self._place(x) for x in points], dtype=np.intp)
             return self._norms[place[a], place[b]]
         pts = np.array([self.check_point(x) for x in points])
-        values = self.cone.space.norms(self.distances(pts[a], pts[b]))
-        for k in np.flatnonzero(~np.isfinite(values)):
-            values[k] = self.d_norm(points[a[k]], points[b[k]])
-        return values
+        dist = self.distances(pts[a], pts[b])
+        if not np.isfinite(dist).all():
+            raise ContractViolationError("vector has non-finite entries")
+        return self.cone.space.norms(dist)
 
     def distance_tensor(self) -> np.ndarray:
         """Every distance of a finite space at once, read-only.
@@ -421,8 +419,11 @@ class AffineMapping:
     def apply(self, space: ConeMetricSpace, x):
         if space.is_finite:
             raise ContractViolationError("affine mappings act on euclidean point domains only")
-        arr = space.check_point(x)
-        return self.b @ arr + self.c
+        if self.c.shape[0] != space.points.m:
+            raise ContractViolationError(
+                f"affine map of R^{self.c.shape[0]} does not act on R^{space.points.m}"
+            )
+        return self.b @ space.check_point(x) + self.c
 
 
 # ---------------------------------------------------------------------------
@@ -518,27 +519,8 @@ def reduce_scalar(a1: float, a2: float, a3: float, a4: float) -> ConstantCoeffic
 
 
 # ---------------------------------------------------------------------------
-# Contraction residual and hypothesis checking
+# Contraction residuals and hypothesis checking
 # ---------------------------------------------------------------------------
-
-
-def contraction_residual(space: ConeMetricSpace, mapping, coeffs, x, y) -> np.ndarray:
-    """Residual of the contraction inequality at one ordered pair.
-
-    Returns ``A1 d(x,y) + A2 d(x,Tx) + A3 d(y,Ty) + A4 d(x,Ty) + A4 d(y,Tx)
-    - d(Tx,Ty)``; the inequality holds at (x, y) iff this vector is a cone
-    member.  This is the single-pair reference for the sweeps of
-    :func:`check_hypotheses`, which compute the same vectors for stacked
-    pairs at once (:func:`_residuals`).
-    """
-    x = space.check_point(x)
-    y = space.check_point(y)
-    a1, a2, a3, a4 = coeffs.at(x, y)
-    tx = mapping.apply(space, x)
-    ty = mapping.apply(space, y)
-    d = space.d
-    rhs = a1 @ d(x, y) + a2 @ d(x, tx) + a3 @ d(y, ty) + a4 @ d(x, ty) + a4 @ d(y, tx)
-    return rhs - d(tx, ty)
 
 
 def _act(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -550,11 +532,14 @@ def _act(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 def _residuals(space: ConeMetricSpace, x, y, tx, ty, quads) -> np.ndarray:
     """Contraction residuals at stacked pairs, shape (n, p): the one kernel of every sweep.
 
-    Pair k is ``(x[k], y[k])`` with images ``(tx[k], ty[k])``, as positions
-    in the sorted labels ``(n,)`` on a finite space or as coordinates
-    ``(n, m)`` on R^m (see :meth:`ConeMetricSpace.distances`).  ``quads``
-    holds one ``(4, p, p)`` quadruple shared by every pair, or one per pair.
-    Row k equals :func:`contraction_residual` at pair k bit for bit.
+    The residual at ``(x, y)`` is ``A1 d(x,y) + A2 d(x,Tx) + A3 d(y,Ty) + A4
+    d(x,Ty) + A4 d(y,Tx) - d(Tx,Ty)``, a cone member iff the contraction
+    inequality holds there.  Pair k is ``(x[k], y[k])`` with images ``(tx[k],
+    ty[k])``, as positions in the sorted labels ``(n,)`` on a finite space or
+    as coordinates ``(n, m)`` on R^m (see :meth:`ConeMetricSpace.distances`).
+    ``quads`` holds one ``(4, p, p)`` quadruple shared by every pair, or one
+    per pair.  Row k equals that residual of pair k alone, computed with
+    ``@`` per term, bit for bit.
     """
     d = space.distances
     a1, a2, a3, a4 = (quads[0] if len(quads) == 1 else quads).swapaxes(0, -3)
@@ -752,37 +737,34 @@ def _label_pair(order):
 
 
 def _resolve_pairs(space: ConeMetricSpace, pair_source):
-    """Number of pairs, the pair at a sweep position, whether the sweep is exhaustive, and the sample.
+    """Number of pairs, the pair at a sweep position, and the sample: coordinates ``(n, 2, m)``, or None.
 
-    A sample is drawn at once: positions in the sorted labels ``(n, 2)``, or
-    coordinates ``(n, 2, m)`` on R^m.  An exhaustive sweep has none.
+    A finite space is swept whole: a sample of it could only witness an
+    ``alpha`` or ``beta`` below the true maxima, and would save nothing, as
+    the space holds its whole distance table.  R^m is sampled, at once.
     """
-    if pair_source == "all":
-        if not space.is_finite:
+    if space.is_finite:
+        if pair_source != "all":
             raise ContractViolationError(
-                "exhaustive pair sweeps need a finite space; use ('sampled', n, seed)"
+                f"a finite space is swept whole; its pair source must be 'all', got {pair_source!r}"
             )
         order = space.points.order
-        return len(order) ** 2, _label_pair(order), True, None
-    if isinstance(pair_source, tuple) and len(pair_source) == 3 and pair_source[0] == "sampled":
-        n, seed = int(pair_source[1]), int(pair_source[2])
-        if n < 1:
-            raise ContractViolationError("sampled pair source needs n >= 1")
-        m, p = 1 if space.is_finite else space.points.m, space.cone.space.dim
-        if max(n * 2 * m, n * p) > TABLE_MAX_ELEMENTS:
-            raise ContractViolationError(f"sample of {n} pairs is too large ({n}x2x{m} points, "
-                                         f"{n}x{p} residuals, limit {TABLE_MAX_ELEMENTS})")
-        rng = np.random.default_rng(seed)
-        # one draw gives the stream of one point at a time: any prefix of the
-        # sample is unchanged, so enlarging n only adds pairs (monotonicity)
-        if space.is_finite:
-            order, index = space.points.order, space.points.index
-            place = np.array([index[label] for label in space.points.labels], dtype=np.intp)
-            points = place[rng.integers(0, len(place), (n, 2))]
-            return n, lambda i: (order[points[i, 0]], order[points[i, 1]]), False, points
-        points = rng.uniform(-10.0, 10.0, (n, 2, m))
-        return n, lambda i: (points[i, 0], points[i, 1]), False, points
-    raise ContractViolationError(f"unknown pair source {pair_source!r}")
+        return len(order) ** 2, _label_pair(order), None
+    if pair_source == "all":
+        raise ContractViolationError("exhaustive pair sweeps need a finite space; use ('sampled', n, seed)")
+    if not (isinstance(pair_source, tuple) and len(pair_source) == 3 and pair_source[0] == "sampled"):
+        raise ContractViolationError(f"unknown pair source {pair_source!r}")
+    n, seed = int(pair_source[1]), int(pair_source[2])
+    if n < 1:
+        raise ContractViolationError("sampled pair source needs n >= 1")
+    m, p = space.points.m, space.cone.space.dim
+    if max(n * 2 * m, n * p) > TABLE_MAX_ELEMENTS:
+        raise ContractViolationError(f"sample of {n} pairs is too large ({n}x2x{m} points, "
+                                     f"{n}x{p} residuals, limit {TABLE_MAX_ELEMENTS})")
+    # one draw gives the stream of one point at a time: any prefix of the
+    # sample is unchanged, so enlarging n only adds pairs (monotonicity)
+    points = np.random.default_rng(seed).uniform(-10.0, 10.0, (n, 2, m))
+    return n, lambda i: (points[i, 0], points[i, 1]), points
 
 
 def _operator_stats(stack: np.ndarray, cone: PolyhedralCone, tol: float):
@@ -817,18 +799,18 @@ def check_hypotheses(
 ) -> HypothesisReport:
     """Sweep the certifying conditions over a pair source.
 
-    ``k`` defaults to the cone's declared normal constant.  Coefficients are
-    fetched once per pair in sweep order (once in all for a constant
-    family, and by one index array into its stack for a per-pair family on
-    an exhaustive sweep) into one quadruple stack, and the operator-level
-    conditions are evaluated over the whole stack at once.  Every residual,
-    of an exhaustive or a sampled sweep, comes from one array kernel over
-    stacked pairs (:func:`_residuals`), which equals
-    :func:`contraction_residual` bit for bit; a sample is drawn at once, and
-    on R^m the images of its points are stacked products.  Ties in the
-    witnessed maxima are broken by the first pair in sweep order, and
-    witnesses are listed in sweep order, so the report is independent of
-    how the residuals were evaluated.
+    A finite space is swept whole (``pair_source="all"``); R^m is sampled,
+    ``("sampled", n, seed)`` (see :func:`_resolve_pairs`).  ``k`` defaults
+    to the cone's declared normal constant.  Coefficients are fetched once
+    per pair in sweep order (once in all for a constant family, and by one
+    index array into its stack for a per-pair family, which a finite space
+    alone has) into one quadruple stack, and the operator-level conditions
+    are evaluated over the whole stack at once.  Every residual comes from
+    one array kernel over stacked pairs (:func:`_residuals`); a sample is
+    drawn at once, and the images of its points are stacked products.
+    Ties in the witnessed maxima are broken by the first pair in sweep
+    order, and witnesses are listed in sweep order, so the report is
+    independent of how the residuals were evaluated.
 
     Under a constant family, the exhaustive sweep decides membership from
     facet products computed straight from the factored distance table
@@ -876,7 +858,8 @@ def check_hypotheses(
     k = space.cone.normal_constant if k is None else float(k)
     if k < 1.0:
         raise ContractViolationError("normal constant must be >= 1")
-    n_pairs, pair_at, exhaustive, points = _resolve_pairs(space, pair_source)
+    n_pairs, pair_at, points = _resolve_pairs(space, pair_source)
+    exhaustive = points is None
     cone = space.cone
     # quadruple q serves sweep position q; a constant family's one serves all
     count = 1 if getattr(coeffs, "is_constant", False) else n_pairs
@@ -884,7 +867,9 @@ def check_hypotheses(
     if count > 1 and count * 4 * p * p > TABLE_MAX_ELEMENTS:
         raise ContractViolationError(f"coefficients of {count} pairs are too large "
                                      f"({count}x4x{p}x{p} entries, limit {TABLE_MAX_ELEMENTS})")
-    if exhaustive and isinstance(coeffs, PerPairCoefficients):
+    if isinstance(coeffs, PerPairCoefficients):
+        if not exhaustive:
+            raise ContractViolationError("per-pair coefficients need a finite point domain")
         stack = coeffs.take(list(itertools.product(space.points.order, repeat=2)))
     else:
         quads = [coeffs.at(*pair_at(q)) for q in range(count)]
@@ -910,8 +895,7 @@ def check_hypotheses(
         t = space.image_indices(mapping)
         image = t.__getitem__
     else:
-        if not isinstance(mapping, AffineMapping):
-            mapping.apply(space, points[0, 0])  # a table mapping refuses R^m here
+        mapping.apply(space, points[0, 0])  # a mapping that does not act on this R^m refuses it here
 
         def image(u):  # bit for bit AffineMapping.apply, on stacked points
             return _act(mapping.b, u) + mapping.c

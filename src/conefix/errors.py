@@ -11,10 +11,6 @@ class ContractViolationError(ConefixError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class UnsupportedError(ConefixError):
-    """The operation is undefined for this input (e.g. interior tests on a non-solid cone)."""
-
-
 class NumericError(ConefixError):
     """An iterative routine exhausted its budget or missed its tolerance."""
 

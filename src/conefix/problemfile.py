@@ -264,8 +264,13 @@ def _point(value, path, key, dims):
 
 
 def _pair_source(value, path, key, dims):
-    """``"all"`` or ``{"sampled": {"n": .., "seed": ..}}``, as ``"all"`` or ``("sampled", n, seed)``."""
+    """``"all"`` or ``{"sampled": {"n": .., "seed": ..}}``, as ``"all"`` or ``("sampled", n, seed)``.
+
+    A finite space is swept whole, so only R^m takes a sample.
+    """
     if isinstance(value, dict):
+        if "labels" in dims:
+            raise ProblemFileError("a finite space is swept whole; its pair source must be \"all\"", path)
         sampled = _section(value, PAIR_SOURCE, path, dims)["sampled"]
         return ("sampled", sampled["n"], sampled["seed"])
     if value != "all":
@@ -316,8 +321,7 @@ DOCUMENT = {
     "solve": Key({
         "x0": Key(_point, shape=("m",)),
         "eps": Key(_number, sign="positive"),
-        "max_iter": Key(_int, required=False),
-        "beta": Key(_number, required=False),
+        "beta": Key(_number, required=False, sign="nonnegative"),
     }, required=False),
     "check": Key(CHECK, required=False),
 }

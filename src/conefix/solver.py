@@ -32,8 +32,6 @@ BOUND_AUDIT_RTOL = 1e-9
 #: raising peak memory (larger blocks ran no faster).
 AUDIT_BLOCK_PAIRS = 1 << 12
 
-MIN_ITER_FLOOR = 64
-
 
 @dataclass(eq=False)
 class IterationTrace:
@@ -72,7 +70,7 @@ class FixedPointResult:
     residual_norm: float
     iterations_used: int
     certificate: ConvergenceCertificate
-    trace: IterationTrace | None = None
+    trace: IterationTrace
 
 
 def tail_bound(k: float, beta: float, d01_norm: float, n: int) -> float:
@@ -126,33 +124,26 @@ def picard_solve(
     beta: float,
     x0,
     eps: float,
-    max_iter: int | None = None,
-    keep_trace: bool = True,
     beta_source: str = "declared",
 ) -> FixedPointResult:
     """Iterate ``x_{n+1} = T x_n`` for the certified number of steps.
 
-    Runs ``a_priori_iterations`` steps (capped by ``max_iter``, default
-    ``max(64, 4 * planned)``), stopping early only when a step lands
-    exactly on a fixed point.  Success requires the final residual
+    Runs the ``a_priori_iterations`` steps, stopping early only when a step
+    lands exactly on a fixed point.  Success requires the final residual
     ``|d(x_N, T x_N)|`` to be at most eps; otherwise a
-    :class:`NonConvergenceError` carrying the trace is raised.
+    :class:`NonConvergenceError` carrying the trace is raised.  The result
+    carries the trace too.
     """
     k = space.cone.normal_constant if k is None else float(k)
     x0 = space.check_point(x0)
     x1 = mapping.apply(space, x0)
     d01 = space.d_norm(x0, x1)
     n_planned = a_priori_iterations(k, beta, d01, eps)
-    if max_iter is None:
-        max_iter = max(MIN_ITER_FLOOR, 4 * n_planned)
-    if max_iter < 0:
-        raise ContractViolationError("max_iter must be nonnegative")
-    n_run = min(n_planned, max_iter)
 
     points = [x0]
     step_norms: list[float] = []
     x = x0
-    for _ in range(n_run):
+    for _ in range(n_planned):
         x_next = mapping.apply(space, x)
         step_norms.append(space.d_norm(x, x_next))
         points.append(x_next)
@@ -169,28 +160,21 @@ def picard_solve(
         bound_at_n=tail_bound(k, float(beta), d01, n_planned),
         beta_source=beta_source,
     )
-    trace = IterationTrace(points, step_norms) if keep_trace else None
-    result = FixedPointResult(
+    trace = IterationTrace(points, step_norms)
+    if residual > eps:
+        raise NonConvergenceError(
+            f"planned {n_planned} steps exhausted with residual {residual:.6g} > eps {eps:.6g}; "
+            "this signals a hypothesis violation or a bad beta",
+            trace=trace,
+            residual_norm=residual,
+        )
+    return FixedPointResult(
         point=x,
         residual_norm=residual,
         iterations_used=len(step_norms),
         certificate=certificate,
         trace=trace,
     )
-    if residual > eps:
-        capped = n_planned > max_iter
-        reason = (
-            f"iteration cap {max_iter} reached before the planned {n_planned} steps"
-            if capped
-            else f"planned {n_planned} steps exhausted"
-        )
-        raise NonConvergenceError(
-            f"{reason} with residual {residual:.6g} > eps {eps:.6g}; "
-            "this signals a hypothesis violation or a bad beta",
-            trace=IterationTrace(points, step_norms),
-            residual_norm=residual,
-        )
-    return result
 
 
 @dataclass(eq=False)
@@ -288,9 +272,7 @@ def uniqueness_probe(
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ContractViolationError("uniqueness probe needs at least 2 start points")
-    landings = [
-        picard_solve(space, mapping, k, beta, s, eps, keep_trace=False).point for s in seeds
-    ]
+    landings = [picard_solve(space, mapping, k, beta, s, eps).point for s in seeds]
     for i in range(len(landings)):
         for j in range(i + 1, len(landings)):
             if space.d_norm(landings[i], landings[j]) > 2.0 * eps:
@@ -425,7 +407,6 @@ def probe_open_problem(
                     witnessed.beta,
                     s,
                     eps,
-                    keep_trace=False,
                     beta_source="witnessed",
                 )
             except NonConvergenceError:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import NormedSpace, PolyhedralCone, orthant
+from .cones import NormedSpace, PolyhedralCone
 from .contraction import (
     ConeMetricSpace,
     ConstantCoefficients,

@@ -53,13 +53,13 @@ def broken_metric_doc():
 # (path to a key of banach_scalar.json, raw JSON token put there, command)
 BAD_NUMBERS = [
     (("solve", "eps"), '"abc"', ["solve"]),
-    (("solve", "max_iter"), '"x"', ["solve"]),
     (("check", "pair_source", "sampled", "n"), '"many"', ["check"]),
     (("check", "pair_source", "sampled", "seed"), "-1", ["check"]),
     (("check", "pair_source", "sampled", "n"), "0", ["validate"]),
     (("check", "pair_source", "sampled", "n"), "-3", ["check"]),
     (("solve", "eps"), "NaN", ["solve"]),
     (("solve", "beta"), "NaN", ["solve", "--force"]),
+    (("solve", "beta"), "-0.5", ["solve", "--force"]),
     (("solve", "eps"), "1e400", ["solve"]),
     (("space", "dim"), "true", ["check"]),
     (("space", "metric", "m"), "true", ["check"]),
@@ -132,6 +132,8 @@ BAD_STRUCTURE = [
     ("banach_scalar", ("mapping", "table"), {}, "mapping"),
     ("finite_ladder", ("coefficients", "table"), "junk", "coefficients"),
     ("per_pair", ("coefficients", "A1"), [[0.3]], "coefficients"),
+    # a key the format does not have
+    ("banach_scalar", ("solve", "max_iter"), 64, "solve"),
     # each ordered pair once, and only pairs of the point labels
     ("per_pair", ("coefficients", "table"), [DUPLICATE_ROW, *PER_PAIR_ROWS], "coefficients.table.2"),
     ("per_pair", ("coefficients", "table"), [*PER_PAIR_ROWS, DUPLICATE_ROW], "coefficients.table.4"),
@@ -240,6 +242,26 @@ class TestExitCodes:
         code, out = run_cli([command, str(path), "--output", "machine"])
         assert code == 2
         assert f"\nerror={'.'.join(keys)}: expected finite array entries" in out
+
+    def test_finite_sampled_pair_source_is_input_error(self, tmp_path):
+        # a sample of 3 pairs would witness beta 0.7469 where the whole
+        # sweep witnesses 0.7871, and so plan too few steps
+        doc = json.loads((PROBLEMS / "finite_pairwise.json").read_text())
+        doc["check"]["pair_source"] = {"sampled": {"n": 3, "seed": 3}}
+        path = write_problem(tmp_path, doc)
+        for argv in (["validate"], ["check"], ["solve"]):
+            code, out = run_cli([argv[0], path, "--output", "machine"])
+            assert code == 2, argv
+            assert "\nerror=check.pair_source: a finite space is swept whole" in out
+
+    def test_negative_solve_beta_is_input_error(self, tmp_path):
+        doc = json.loads((PROBLEMS / "banach_scalar.json").read_text())
+        doc["solve"]["beta"] = -0.5
+        path = write_problem(tmp_path, doc)
+        for argv in (["validate"], ["check"], ["solve"], ["solve", "--force"]):
+            code, out = run_cli([argv[0], path, "--output", "machine", *argv[1:]])
+            assert code == 2, argv
+            assert "\nerror=solve: beta must be nonnegative, got -0.5\n" in out
 
     def test_table_metric_missing_a_pair_is_input_error(self, tmp_path):
         # finite_ladder.json with its metric written out as a table that lacks (p03, p04)

@@ -21,8 +21,6 @@ from conefix import (
     TableMetric,
     check_hypotheses,
     check_metric_axioms,
-    cone_contains,
-    contraction_residual,
     induced_norm,
     make_finite_lifted_space,
     make_lifted_space,
@@ -30,6 +28,7 @@ from conefix import (
     orthant,
     reduce_scalar,
 )
+from references import cone_contains, contraction_residual
 
 
 def two_point_space(cone, w=(1.0, 1.0)):

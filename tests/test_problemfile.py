@@ -68,6 +68,13 @@ class TestParsing:
         assert not problem.space.is_finite
         assert problem.check.pair_source == ("sampled", 50, 3)
 
+    def test_finite_space_is_swept_whole(self):
+        # a sample of a finite space could witness too low an alpha and beta
+        doc = base_doc()
+        doc["check"] = {"pair_source": {"sampled": {"n": 50, "seed": 3}}}
+        with pytest.raises(ProblemFileError, match=r"^check\.pair_source: a finite space is swept whole"):
+            parse(doc)
+
     def test_table_metric_document(self):
         doc = base_doc()
         doc["space"]["metric"] = {
@@ -101,10 +108,10 @@ class TestParsing:
 
     def test_null_optional_number_is_left_out(self):
         doc = base_doc()
-        doc["solve"].update(beta=None, max_iter=None)
+        doc["solve"].update(beta=None)
         doc["check"].update(tol=None, alpha=None)
         problem = parse(doc)
-        assert problem.solve.beta is None and problem.solve.max_iter is None
+        assert problem.solve.beta is None
         assert problem.check.tol is None and problem.check.alpha is None
         assert problem.space.cone.normal_constant == 1.0
 

@@ -2,9 +2,10 @@
 
 The exhaustive and sampled hypothesis sweeps, the finite metric-axiom
 sweep, the distance lookups of a finite space and the bound audit work on
-whole arrays at once.  Their references here go pair by pair (through the public
-single-pair ``contraction_residual``) and triple by triple, the way they
-were first written, and every field of the results must agree exactly.
+whole arrays at once.  Their references here go pair by pair (through the
+single-pair ``contraction_residual`` of ``references.py``) and triple by
+triple, the way they were first written, and every field of the results
+must agree exactly.
 The fast facet products that decide most pairs of the exhaustive sweep
 must lie within their rounding band of the reference products.
 """
@@ -34,8 +35,6 @@ from conefix import (
     TableMetric,
     check_hypotheses,
     check_metric_axioms,
-    cone_contains,
-    contraction_residual,
     generate_certified_instance,
     induced_norm,
     invariance_check,
@@ -50,6 +49,7 @@ from conefix import (
 from conefix import cli, contraction, solver
 from conefix.contraction import CONDITIONS, MAX_WITNESSES
 from conefix.solver import BOUND_AUDIT_RTOL, tail_bound
+from references import cone_contains, contraction_residual
 
 TOL = 1e-9
 
@@ -305,24 +305,6 @@ def test_sweep_matches_per_pair_reference(metric, family, failing):
         assert contraction_failures >= 6
 
 
-@pytest.mark.parametrize("metric,family,failing", CASES)
-def test_finite_sampled_sweep_matches_per_pair_reference(metric, family, failing):
-    # the sample draws labels one at a time, in the order the space was given them
-    outcomes = set()
-    for seed in range(10):
-        space, mapping, coeffs = random_instance(seed, metric, family, failing)
-        for n in (1, 7, 60):
-            draw = np.random.default_rng(seed + 100)
-            labels = space.points.labels
-            pairs = [tuple(labels[int(draw.integers(0, len(labels)))] for _ in "xy") for _ in range(n)]
-            expected = reference_report(space, mapping, coeffs, pairs=pairs)
-            report = check_hypotheses(space, mapping, coeffs, pair_source=("sampled", n, seed + 100), tol=TOL)
-            assert report_fields(report) == expected, f"seed {seed}, n {n}"
-            assert not report.exhaustive
-            outcomes.add(report.conditions["contraction"])
-    assert outcomes == {True, False}
-
-
 @pytest.mark.parametrize("family", ["constant", "callable"])
 def test_sampled_sweep_matches_per_pair_reference(family):
     # the euclidean sample is drawn one point at a time here
@@ -484,6 +466,27 @@ class TestSweepErrors:
         coeffs = constant([0.1 * np.eye(2)] * 4, orthant2_inf.space)
         with pytest.raises(ContractViolationError, match="^table mappings act on finite point sets only$"):
             check_hypotheses(space, TableMapping({"a": "a"}), coeffs, pair_source=("sampled", 3, 0))
+
+    def test_finite_space_refuses_a_sample(self):
+        space, mapping, coeffs = random_instance(0, "discrete", "constant", False, n=4)
+        with pytest.raises(ContractViolationError, match="^a finite space is swept whole"):
+            check_hypotheses(space, mapping, coeffs, pair_source=("sampled", 3, 3))
+
+    def test_per_pair_coefficients_over_euclidean_domain(self, orthant2_inf):
+        space = make_lifted_space(1, orthant2_inf, [1.0, 1.0])
+        coeffs = PerPairCoefficients({("a", "a"): np.zeros((4, 2, 2))})
+        with pytest.raises(ContractViolationError, match="^per-pair coefficients need a finite point domain$"):
+            check_hypotheses(space, AffineMapping([[0.5]], [0.0]), coeffs, pair_source=("sampled", 3, 0))
+
+    def test_affine_map_of_another_dimension(self, orthant2_inf):
+        space = make_lifted_space(1, orthant2_inf, [1.0, 1.0])
+        mapping = AffineMapping(0.5 * np.eye(2), [0.0, 0.0])
+        coeffs = constant([0.1 * np.eye(2)] * 4, orthant2_inf.space)
+        message = r"^affine map of R\^2 does not act on R\^1$"
+        with pytest.raises(ContractViolationError, match=message):
+            check_hypotheses(space, mapping, coeffs, pair_source=("sampled", 3, 0))
+        with pytest.raises(ContractViolationError, match=message):
+            picard_solve(space, mapping, None, 0.5, [1.0], 1e-8)
 
     def test_missing_table_entry(self, orthant2_inf):
         # no sweep ever meets a missing pair: the space refuses the table
@@ -771,7 +774,6 @@ class TestTableLimit:
         space = ConeMetricSpace(*parts)
         assert np.array_equal(space.d(x, y), reference_d(space, x, y))
         assert space.d_norm(x, y) == orthant3_inf.space.norm(reference_d(space, x, y))
-        check_hypotheses(space, inst.mapping, inst.coeffs, pair_source=("sampled", 5, 0))
         assert check_hypotheses(space, inst.mapping, inst.coeffs).passed
 
     def test_oversized_sample_is_refused(self, orthant3_inf, monkeypatch):
@@ -779,16 +781,11 @@ class TestTableLimit:
         space = make_lifted_space(2, orthant3_inf, [1.0, 1.0, 1.0])
         mapping = AffineMapping(0.5 * np.eye(2), [1.0, 0.0])
         coeffs = constant([0.1 * np.eye(3)] * 4, orthant3_inf.space)
-        inst = generate_certified_instance(3, 4, orthant3_inf)
         monkeypatch.setattr(contraction, "TABLE_MAX_ELEMENTS", 19)
         with pytest.raises(ContractViolationError, match=r"^sample of 5 pairs is too large .*limit 19\)$"):
             check_hypotheses(space, mapping, coeffs, pair_source=("sampled", 5, 0))
         monkeypatch.setattr(contraction, "TABLE_MAX_ELEMENTS", 20)
         assert check_hypotheses(space, mapping, coeffs, pair_source=("sampled", 5, 0)).pairs_checked == 5
-        # on a finite space the residuals are the larger: 5 x 2 positions, 5 x 3 entries
-        monkeypatch.setattr(contraction, "TABLE_MAX_ELEMENTS", 14)
-        with pytest.raises(ContractViolationError, match=r"5x2x1 points, 5x3 residuals, limit 14"):
-            check_hypotheses(inst.space, inst.mapping, inst.coeffs, pair_source=("sampled", 5, 0))
 
     def test_oversized_coefficient_stack_is_refused(self, orthant2_inf, monkeypatch):
         # 10 pairs of R^1: 10 x 2 x 1 coordinates and 10 x 2 residual entries

@@ -10,7 +10,6 @@ from conefix import (
     brute_force_fixed_points,
     check_hypotheses,
     check_metric_axioms,
-    cone_contains,
     generate_certified_instance,
     make_finite_lifted_space,
     make_lifted_space,
@@ -23,6 +22,7 @@ from conefix import (
     verify_corollary_equivalence,
 )
 from conefix.testbed import FiniteInstance
+from references import cone_contains
 
 
 class TestScalarSpace:
