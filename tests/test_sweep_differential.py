@@ -305,6 +305,20 @@ def test_sweep_matches_per_pair_reference(metric, family, failing):
         assert contraction_failures >= 6
 
 
+@pytest.mark.parametrize("metric,family,failing", CASES)
+def test_finite_space_refuses_a_sample(metric, family, failing):
+    # a sample could witness an alpha or beta below the whole sweep's, on
+    # every kind of finite space and coefficient family, passing or not
+    for seed in range(10):
+        space, mapping, coeffs = random_instance(seed, metric, family, failing)
+        for n in (1, 7, 60):
+            with pytest.raises(ContractViolationError, match="^a finite space is swept whole"):
+                check_hypotheses(space, mapping, coeffs, pair_source=("sampled", n, seed + 100), tol=TOL)
+        report = check_hypotheses(space, mapping, coeffs, tol=TOL)
+        assert report.exhaustive
+        assert report.pairs_checked == len(space.labels) ** 2
+
+
 @pytest.mark.parametrize("family", ["constant", "callable"])
 def test_sampled_sweep_matches_per_pair_reference(family):
     # the euclidean sample is drawn one point at a time here
@@ -466,11 +480,6 @@ class TestSweepErrors:
         coeffs = constant([0.1 * np.eye(2)] * 4, orthant2_inf.space)
         with pytest.raises(ContractViolationError, match="^table mappings act on finite point sets only$"):
             check_hypotheses(space, TableMapping({"a": "a"}), coeffs, pair_source=("sampled", 3, 0))
-
-    def test_finite_space_refuses_a_sample(self):
-        space, mapping, coeffs = random_instance(0, "discrete", "constant", False, n=4)
-        with pytest.raises(ContractViolationError, match="^a finite space is swept whole"):
-            check_hypotheses(space, mapping, coeffs, pair_source=("sampled", 3, 3))
 
     def test_per_pair_coefficients_over_euclidean_domain(self, orthant2_inf):
         space = make_lifted_space(1, orthant2_inf, [1.0, 1.0])
